@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .centrality import betweenness, closeness, degree_measures, eigenvector, pagerank
-from .kbi import kbi, kbi_for_lender
+from .kbi import kbi_from_rows, kbi_matrix, kbi_rows
 from .network import (
     Absolute,
     AttributeShare,
@@ -41,7 +41,6 @@ from .network import (
     net_mutual_exposures,
     node_sort_key,
     normalize_by_attribute,
-    out_strength,
     read_attributes_csv,
     read_edges_csv,
 )
@@ -308,17 +307,9 @@ def _compute_one(
         raise ValueError(f"method {name!r} needs a threshold policy (--q)")
     emit = settings["emit_matrices"]
     if name == "kbi":
-        scores = kbi(net, policy)
-        if not emit:
-            return scores, None
-        index = {v: k for k, v in enumerate(net.nodes)}
-        values = np.zeros((len(net.nodes), len(net.nodes)))
-        for lender in net.nodes:
-            if out_strength(net, lender) == 0:
-                continue
-            for borrower, share in kbi_for_lender(net, lender, policy).items():
-                values[index[lender], index[borrower]] = share
-        return scores, (net.nodes, values)
+        rows = kbi_rows(net, policy)
+        scores = kbi_from_rows(net, rows)
+        return scores, (net.nodes, kbi_matrix(net, rows)) if emit else None
     if name in PATH_METHODS:
         matrix = lric_paths_matrix(net, policy, name, settings["s"], schema)
         vector = weighted_vector(net, matrix)

@@ -9,7 +9,9 @@ normalized per lender and aggregated across lenders by lending volume.
 
 from __future__ import annotations
 
-from .groups import critical_groups
+import numpy as np
+
+from .groups import pivotal_groups
 from .network import ExposureNetwork, ThresholdPolicy, out_strength
 
 
@@ -49,39 +51,66 @@ def kbi_for_lender(
     alpha_i = sum over critical groups G with i pivotal of
         (p_i + sum_{j in G, j != i} min(a_ji, a_Lj) / s_L) / |G|
     normalized to sum 1; all-zero when the lender has no critical group.
+    Every sum runs in borrower node order, so the float result does not
+    depend on set iteration order.
     """
     total = out_strength(net, lender)
     if total == 0:
         raise ValueError(f"{lender!r} has no outgoing exposure")
     borrowers = net.borrowers_of(lender)
+    loans = {b: net.weight(lender, b) for b in borrowers}
+    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i
+    support = {
+        i: {j: min(net.weight(j, i), loans[j]) for j in borrowers} for i in borrowers
+    }
     alpha = {b: 0.0 for b in borrowers}
-    for group in critical_groups(net, lender, policy):
-        for member in group.pivotal:
-            reinforcement = sum(
-                min(net.weight(j, member), net.weight(lender, j))
-                for j in group.members
-                if j != member
-            )
-            alpha[member] += (
-                (net.weight(lender, member) + reinforcement) / total
-            ) / len(group.members)
+    for group in pivotal_groups(net, lender, policy):
+        members = [b for b in borrowers if b in group.members]
+        for member in members:
+            if member not in group.pivotal:
+                continue
+            reinforcement = sum(support[member][j] for j in members if j != member)
+            alpha[member] += ((loans[member] + reinforcement) / total) / len(members)
     mass = sum(alpha.values())
     if mass == 0:
         return alpha
     return {b: v / mass for b, v in alpha.items()}
 
 
-def kbi(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, float]:
-    """Aggregate index over all lenders, weighted by lending volume."""
+def kbi_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, dict[str, float]]:
+    """``kbi_for_lender`` of every lender with outgoing exposure, in node order."""
+    return {
+        lender: kbi_for_lender(net, lender, policy)
+        for lender in net.nodes
+        if out_strength(net, lender) != 0
+    }
+
+
+def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> dict[str, float]:
+    """Aggregate index from per-lender rows, weighted by lending volume."""
     strengths = {v: out_strength(net, v) for v in net.nodes}
     grand_total = sum(strengths.values())
     scores = {v: 0.0 for v in net.nodes}
     if grand_total == 0:
         return scores
-    for lender, strength in strengths.items():
-        if strength == 0:
-            continue
-        weight = strength / grand_total
-        for borrower, value in kbi_for_lender(net, lender, policy).items():
+    for lender, row in rows.items():
+        weight = strengths[lender] / grand_total
+        for borrower, value in row.items():
             scores[borrower] += weight * value
     return scores
+
+
+def kbi_matrix(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> np.ndarray:
+    """Per-lender rows as a matrix over ``net.nodes``: entry (L, B) is B's score
+    for lender L; zero rows for nodes that do not lend."""
+    index = {v: k for k, v in enumerate(net.nodes)}
+    values = np.zeros((len(net.nodes), len(net.nodes)))
+    for lender, row in rows.items():
+        for borrower, share in row.items():
+            values[index[lender], index[borrower]] = share
+    return values
+
+
+def kbi(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, float]:
+    """Aggregate index over all lenders, weighted by lending volume."""
+    return kbi_from_rows(net, kbi_rows(net, policy))

@@ -12,6 +12,7 @@ so that reports list "2" before "10".
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 
@@ -114,13 +115,15 @@ def ingest_edges(
     """Build a network from (lender, borrower, weight) records.
 
     Duplicate (lender, borrower) pairs are summed.  Zero-weight records are
-    dropped; negative weights and self-loops are rejected.  Nodes appearing
-    only in `attributes` are retained as isolated nodes.
+    dropped; negative or non-finite weights and self-loops are rejected.
+    Nodes appearing only in `attributes` are retained as isolated nodes.
     """
     edges: dict[tuple[str, str], float] = {}
     nodes: set[str] = set()
     for rec in records:
         src, dst, w = str(rec[0]), str(rec[1]), float(rec[2])
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight in record {rec!r}")
         if w < 0:
             raise ValueError(f"negative weight in record {rec!r}")
         if src == dst:
@@ -235,6 +238,8 @@ def read_edges_csv(path: str) -> list[tuple[str, str, float]]:
                 w = float(raw)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad weight {raw!r}") from None
+            if not math.isfinite(w):
+                raise ValueError(f"{path}: line {lineno}: non-finite weight {raw!r}")
             records.append((src, dst, w))
     return records
 

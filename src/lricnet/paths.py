@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import critical_groups
+from .groups import pivotal_groups
 from .network import ExposureNetwork, ThresholdPolicy, node_sort_key, out_strength
 
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
@@ -154,7 +154,7 @@ def influence_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> Influence
     index = {v: k for k, v in enumerate(nodes)}
     values = np.zeros((len(nodes), len(nodes)))
     for lender in nodes:
-        for group in critical_groups(net, lender, policy):
+        for group in pivotal_groups(net, lender, policy):
             for member in group.pivotal:
                 i, j = index[lender], index[member]
                 share = net.weight(lender, member) / group.total

@@ -183,6 +183,16 @@ def test_malformed_edges_report_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_non_finite_weight_fails_with_line(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("from,to,weight\na,b,nan\na,c,10\n", encoding="utf-8")
+    code, out, err = _run(
+        capsys, "compute", "--edges", str(bad), "--method", "kbi", "--q", "out-share:0.25"
+    )
+    assert code == 2 and not out
+    assert "line 2: non-finite weight" in err
+
+
 def test_infeasible_policy_names_node(capsys, tmp_path):
     write_edges_csv(tmp_path / "e.csv", EX1_EDGES)
     (tmp_path / "attrs.csv").write_text("node,gdp\n1,1000\n", encoding="utf-8")

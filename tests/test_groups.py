@@ -6,16 +6,24 @@ threshold; a member is pivotal when removing it breaks criticality) before
 being frozen here.
 """
 
+import random
+from itertools import combinations
+
 import pytest
 
 from lricnet import (
+    Absolute,
+    CriticalGroup,
     OutShareQuota,
     critical_groups,
     ingest_edges,
     is_critical,
     minimal_pivotal_sum,
+    pivotal_groups,
     pivotal_members,
+    threshold,
 )
+from lricnet.groups import TOL
 
 # lender -> set of critical groups under the 25% quota
 EX2_CRITICAL_GROUPS = {
@@ -124,3 +132,67 @@ def test_enumeration_cap():
     # an explicit higher cap clears it
     groups = critical_groups(net, "L", OutShareQuota(1.0), cap=26)
     assert {g.members for g in groups} == {frozenset(f"b{i}" for i in range(26))}
+
+
+def _power_set_groups(net, lender, policy):
+    """Every subset in size, then node order: the exhaustive enumeration the
+    pruned search must reproduce exactly."""
+    q = threshold(net, policy, lender)
+    if q is None:
+        return []
+    borrowers = net.borrowers_of(lender)
+    weights = {b: net.weight(lender, b) for b in borrowers}
+    groups = []
+    for size in range(1, len(borrowers) + 1):
+        for combo in combinations(borrowers, size):
+            total = sum(weights[b] for b in combo)
+            if total < q - TOL:
+                continue
+            pivotal = frozenset(b for b in combo if total - weights[b] < q - TOL)
+            groups.append(CriticalGroup(lender, frozenset(combo), total, pivotal))
+    return groups
+
+
+def _random_lender(rng, trial):
+    n = rng.randint(1, 12)
+    kind = trial % 3
+    if kind == 0:
+        weights = [rng.randint(1, 100) for _ in range(n)]
+    elif kind == 1:
+        weights = [rng.uniform(0.01, 100.0) for _ in range(n)]
+    else:
+        weights = [rng.choice([0.1, 0.2, 0.3, 1, 2, 5]) for _ in range(n)]
+    # "b10" sorts before "b2", so node order differs from weight and list order
+    net = ingest_edges([("L", f"b{i}", w) for i, w in enumerate(weights)])
+    if trial % 2:
+        return net, OutShareQuota(rng.choice([0.05, 0.1, 0.25, 0.5, 0.9, 1.0]))
+    part = [w for w in weights if rng.random() < 0.5] or weights[:1]
+    q = sum(part) + rng.choice([0.0, 0.0, TOL, -TOL])
+    return net, Absolute({"L": q})
+
+
+def test_pruned_search_matches_power_set():
+    rng = random.Random(20181)
+    cut_b_lenders = 0
+    for trial in range(400):
+        net, policy = _random_lender(rng, trial)
+        context = (trial, net.edges, policy)
+        expected = _power_set_groups(net, "L", policy)
+        assert critical_groups(net, "L", policy) == expected, context
+        expected_pivotal = [g for g in expected if g.pivotal]
+        assert pivotal_groups(net, "L", policy) == expected_pivotal, context
+        cut_b_lenders += len(expected_pivotal) < len(expected)
+    assert cut_b_lenders > 100  # lenders with groups that cut (b) must drop
+
+
+def test_pivotal_member_beside_a_small_one():
+    # {b0} is critical on its own, yet b0 is still pivotal in {b0, b1}: a
+    # search that stopped extending at the first critical set would lose it
+    net = ingest_edges([("L", "b0", 73), ("L", "b1", 1.18), ("L", "b2", 61)])
+    groups = pivotal_groups(net, "L", OutShareQuota(0.1))
+    assert [(g.members, g.pivotal) for g in groups] == [
+        (frozenset({"b0"}), frozenset({"b0"})),
+        (frozenset({"b2"}), frozenset({"b2"})),
+        (frozenset({"b0", "b1"}), frozenset({"b0"})),
+        (frozenset({"b1", "b2"}), frozenset({"b2"})),
+    ]

@@ -10,9 +10,14 @@ and 8 are pivotal only in {7,8}, each alpha = (200/1100) / 2.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lricnet
 from lricnet import direct_intensity, indirect_intensity, ingest_edges, kbi, kbi_for_lender
 
 EX1_PER_LENDER = {
@@ -111,3 +116,35 @@ def test_aggregate_on_empty_network():
     from lricnet import OutShareQuota
 
     assert kbi(net, OutShareQuota(0.25)) == {"a": 0.0, "b": 0.0}
+
+
+HASH_SEED_SCRIPT = """
+from lricnet import Absolute, ingest_edges, kbi_for_lender
+net = ingest_edges([
+    ("L", "a", 0.1), ("L", "b", 0.2), ("L", "c", 0.3), ("L", "d", 0.7),
+    ("a", "d", 0.1), ("b", "d", 0.2), ("c", "d", 0.3),
+])
+print(repr(kbi_for_lender(net, "L", Absolute({"L": 1.3}))["d"]))
+"""
+
+
+def test_kbi_for_lender_does_not_depend_on_hash_seed():
+    # d is pivotal in {a, b, c, d}; its reinforcement 0.1 + 0.2 + 0.3 rounds
+    # differently in different orders, so the sum must follow node order
+    package_root = str(Path(lricnet.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        outputs.add(done.stdout.strip())
+    assert len(outputs) == 1, outputs

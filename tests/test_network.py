@@ -1,5 +1,7 @@
 """Construction, netting, strengths, thresholds, CSV ingestion."""
 
+import math
+
 import pytest
 
 from lricnet import (
@@ -33,6 +35,12 @@ def test_ingest_sums_duplicates_and_drops_zeros():
 def test_ingest_rejects_negative_weight():
     with pytest.raises(ValueError, match="negative"):
         ingest_edges([("a", "b", -1)])
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_ingest_rejects_non_finite_weight(w):
+    with pytest.raises(ValueError, match=r"non-finite weight in record \('a', 'b', "):
+        ingest_edges([("a", "b", 1), ("a", "b", w)])
 
 
 def test_ingest_rejects_self_loop():
@@ -151,6 +159,13 @@ def test_read_edges_csv_reports_line_numbers(tmp_path):
     p2 = _write(tmp_path / "e2.csv", "from,to,weight\na,b\n")
     with pytest.raises(ValueError, match="line 2"):
         read_edges_csv(p2)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+def test_read_edges_csv_rejects_non_finite_weight(tmp_path, raw):
+    p = _write(tmp_path / "e.csv", f"from,to,weight\na,b,1\na,c,{raw}\n")
+    with pytest.raises(ValueError, match=r"e\.csv: line 3: non-finite weight"):
+        read_edges_csv(p)
 
 
 def test_read_attributes_csv(tmp_path):
