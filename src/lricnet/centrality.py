@@ -174,11 +174,17 @@ def _level_paths(
 def eigenvector(
     net: ExposureNetwork, tol: float = 1e-10, max_iter: int = 100_000
 ) -> dict[str, float]:
-    """Principal eigenvector of the symmetrized weights, scaled to max 1."""
+    """Principal eigenvector of the symmetrized weights, scaled to max 1.
+
+    Power iteration runs on A + Aᵀ + I.  The shift keeps the eigenvectors
+    and raises every eigenvalue by 1, so no eigenvalue of opposite sign
+    matches the leading one in magnitude.  Without it, bipartite graphs,
+    whose spectrum is symmetric about 0, make the iteration oscillate.
+    """
     nodes, a = _adjacency(net)
     if not net.edges:
         raise ValueError("eigenvector centrality needs at least one edge")
-    s = a + a.T
+    s = a + a.T + np.eye(len(nodes))
     v = np.ones(len(nodes))
     residual = float("inf")
     for _ in range(max_iter):

@@ -10,8 +10,9 @@ Subcommands:
 ``compute`` and ``cascade`` accept ``--config FILE`` (JSON object whose keys
 are the long flag names with underscores); explicit flags override the file,
 the file overrides built-in defaults.  With the same inputs, flags, and seed
-the emitted bytes are identical run to run.  ``LRIC_THREADS`` caps the worker
-threads used to compute independent methods.
+the emitted bytes are identical run to run.  ``compute`` runs the named path
+methods last, all from one pass that folds the chains for all five at once.
+``LRIC_THREADS`` caps the worker threads used to compute the other methods.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .paths import (
     GRADE_SCHEMAS,
     PATH_METHODS,
     GradeSchema,
-    lric_paths_matrix,
+    lric_paths_matrices,
     load_grade_schema,
     weighted_vector,
 )
@@ -154,9 +155,12 @@ def _read_quota_csv(path: str) -> dict[str, float]:
             if node in quotas:
                 raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
             try:
-                quotas[node] = float(row[1])
+                q = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad threshold {row[1]!r}") from None
+            if not math.isfinite(q):
+                raise ValueError(f"{path}: line {lineno}: non-finite threshold {row[1]!r}")
+            quotas[node] = q
     return quotas
 
 
@@ -310,10 +314,6 @@ def _compute_one(
         rows = kbi_rows(net, policy)
         scores = kbi_from_rows(net, rows)
         return scores, (net.nodes, kbi_matrix(net, rows)) if emit else None
-    if name in PATH_METHODS:
-        matrix = lric_paths_matrix(net, policy, name, settings["s"], schema)
-        vector = weighted_vector(net, matrix)
-        return vector, (matrix.nodes, matrix.values) if emit else None
     if name == "sim":
         plan = SimulationPlan(
             mode=settings["sim_mode"],
@@ -332,6 +332,32 @@ def _compute_one(
     raise ValueError(f"unknown method {name!r}")
 
 
+def _path_results(
+    names: Sequence[str],
+    net: ExposureNetwork,
+    policy: ThresholdPolicy | None,
+    schema: GradeSchema,
+    settings: dict,
+) -> dict[str, tuple[dict[str, float], tuple[Sequence[str], np.ndarray] | None]]:
+    """Results of the named path methods, all from one fold over the chains.
+
+    Run it after the other methods: its matrices would otherwise stay live
+    through their group enumerations and raise the peak memory.
+    """
+    path_names = [name for name in names if name in PATH_METHODS]
+    if not path_names:
+        return {}
+    if policy is None:
+        raise ValueError(f"method {path_names[0]!r} needs a threshold policy (--q)")
+    matrices = lric_paths_matrices(net, policy, settings["s"], schema)
+    results = {}
+    for name in path_names:
+        matrix = matrices[name]
+        emitted = (matrix.nodes, matrix.values) if settings["emit_matrices"] else None
+        results[name] = weighted_vector(net, matrix), emitted
+    return results
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     settings = _merge_settings(args, "compute")
     if settings["format"] not in ("csv", "json"):
@@ -341,17 +367,19 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     policy = parse_policy(settings["q"]) if settings["q"] else None
     schema = _resolve_grades(settings["grades"])
     threads = _thread_count()
+    others = [name for name in names if name not in PATH_METHODS]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
                 name: pool.submit(_compute_one, name, net, policy, schema, settings)
-                for name in names
+                for name in others
             }
-            results = {name: futures[name].result() for name in names}
+            results = {name: futures[name].result() for name in others}
     else:
         results = {
-            name: _compute_one(name, net, policy, schema, settings) for name in names
+            name: _compute_one(name, net, policy, schema, settings) for name in others
         }
+    results.update(_path_results(names, net, policy, schema, settings))
     outdir = settings["output_dir"]
     fmt = settings["format"]
     if outdir:

@@ -115,7 +115,8 @@ def ingest_edges(
     """Build a network from (lender, borrower, weight) records.
 
     Duplicate (lender, borrower) pairs are summed.  Zero-weight records are
-    dropped; negative or non-finite weights and self-loops are rejected.
+    dropped; negative or non-finite weights, sums that overflow to infinity
+    and self-loops are rejected.
     Nodes appearing only in `attributes` are retained as isolated nodes.
     """
     edges: dict[tuple[str, str], float] = {}
@@ -132,7 +133,10 @@ def ingest_edges(
         nodes.add(dst)
         if w == 0:
             continue
-        edges[(src, dst)] = edges.get((src, dst), 0.0) + w
+        total = edges.get((src, dst), 0.0) + w
+        if not math.isfinite(total):
+            raise ValueError(f"weights of {src!r}->{dst!r} sum to a non-finite value")
+        edges[(src, dst)] = total
     attributes = attributes or {}
     for values in attributes.values():
         nodes.update(values)
@@ -247,7 +251,8 @@ def read_edges_csv(path: str) -> list[tuple[str, str, float]]:
 def read_attributes_csv(path: str) -> dict[str, dict[str, float]]:
     """Read a node attribute CSV with header ``node,<attr1>,<attr2>,...``.
 
-    Empty cells mean "no value".  Duplicate node rows are rejected.
+    Empty cells mean "no value".  Duplicate node rows and non-finite values
+    are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -276,9 +281,14 @@ def read_attributes_csv(path: str) -> dict[str, dict[str, float]]:
                 if not cell:
                     continue
                 try:
-                    attributes[name][node] = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: bad {name} value {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-finite {name} value {cell!r}"
+                    )
+                attributes[name][node] = value
     return attributes

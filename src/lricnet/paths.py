@@ -23,6 +23,7 @@ shorter chain, then the lexicographically smallest node sequence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,11 +165,19 @@ def influence_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> Influence
 
 
 def _successors(c: InfluenceMatrix) -> dict[int, list[int]]:
-    """succ[u] = nodes v directly influenced by u (i.e. c_{v,u} > 0), in node order."""
+    """succ[u] = nodes v directly influenced by u (i.e. c_{v,u} > 0), in node order.
+
+    Node order is :func:`node_sort_key` order, whatever the order of
+    ``c.nodes``, so walks over these lists visit chains in the order that
+    breaks grade-score ties.
+    """
     succ: dict[int, list[int]] = {}
     rows, cols = np.nonzero(c.values)
     for v, u in zip(rows.tolist(), cols.tolist()):
         succ.setdefault(u, []).append(v)
+    keys = [node_sort_key(v) for v in c.nodes]
+    for targets in succ.values():
+        targets.sort(key=keys.__getitem__)
     return succ
 
 
@@ -269,7 +278,12 @@ def aggregate_paths(
     if not paths:
         return 0.0
     if method == "sumpaths":
-        return min(1.0, sum(path_influence(p, "product") for p in paths))
+        # Left to right, not sum(): from Python 3.12 sum() compensates float
+        # rounding, and the total must not depend on the interpreter.
+        total = 0.0
+        for p in paths:
+            total += path_influence(p, "product")
+        return min(1.0, total)
     if method == "maxpath":
         return max(path_influence(p, "product") for p in paths)
     if method == "maxmin":
@@ -278,6 +292,85 @@ def aggregate_paths(
     s_eff = s if s is not None else max(p.length for p in paths)
     chosen = best_graded_path(paths, schema, s_eff)
     return path_influence(chosen, "product" if method == "multt" else "min")
+
+
+def lric_paths_matrices(
+    net: ExposureNetwork,
+    policy: ThresholdPolicy,
+    s: int | None = None,
+    schema: GradeSchema | None = None,
+) -> dict[str, InfluenceMatrix]:
+    """Long-range influence matrices of all five methods, keyed by method.
+
+    One depth-first walk per source visits every simple chain of at most s
+    steps once and folds it into all five aggregates of the lender it ends
+    at.  Children are taken in node order, so the chains ending at one
+    lender arrive in the order :func:`simple_paths` lists them and in
+    lexicographic node order.  Hence sums accumulate exactly as in
+    :func:`aggregate_paths`, and the first chain reaching the lowest grade
+    score is the one :func:`best_graded_path` picks: each entry equals
+    ``aggregate_paths(simple_paths(...), method, schema, s)`` bit for bit.
+    """
+    c = influence_matrix(net, policy)
+    schema = schema or FIVE_LEVEL
+    n = len(c.nodes)
+    s_eff = n - 1 if s is None else s
+    m = schema.positive_grades
+    # succ[u] = (v, c_vu, grade cost of the step u -> v as in path_score_v)
+    succ: dict[int, list[tuple[int, float, int]]] = {}
+    for u, targets in _successors(c).items():
+        steps = [(v, float(c.values[v, u])) for v in targets]
+        succ[u] = [(v, c_vu, (s_eff + 1) ** (m - schema.grade(c_vu))) for v, c_vu in steps]
+    fold = {method: np.zeros((n, n)) for method in PATH_METHODS}
+    sums, maxpath, maxmin, multt, maxt = (fold[method] for method in PATH_METHODS)
+    for j in range(n):
+        total = [0.0] * n
+        best_product = [0.0] * n
+        best_weakest = [0.0] * n
+        best_score = [math.inf] * n
+        graded_product = [0.0] * n
+        graded_weakest = [0.0] * n
+        on_path = [False] * n
+        on_path[j] = True
+
+        def walk(u: int, product: float, weakest: float, cost: int, depth: int) -> None:
+            depth += 1
+            for v, c_vu, step_cost in succ.get(u, ()):
+                if on_path[v]:
+                    continue
+                p = product * c_vu
+                w = weakest if weakest < c_vu else c_vu
+                k = cost + step_cost
+                total[v] += p
+                if p > best_product[v]:
+                    best_product[v] = p
+                if w > best_weakest[v]:
+                    best_weakest[v] = w
+                score = k + s_eff - depth
+                if score < best_score[v]:
+                    best_score[v] = score
+                    graded_product[v] = p
+                    graded_weakest[v] = w
+                if depth < s_eff:
+                    on_path[v] = True
+                    walk(v, p, w, k, depth)
+                    on_path[v] = False
+
+        if s_eff >= 1:
+            walk(j, 1.0, math.inf, 0, 0)
+        # entry by entry: numpy's slice assignment would add its own code
+        # and buffers to the peak memory of a small run
+        for i in range(n):
+            if best_score[i] < math.inf:
+                sums[i, j] = min(1.0, total[i])
+                maxpath[i, j] = best_product[i]
+                maxmin[i, j] = best_weakest[i]
+                multt[i, j] = graded_product[i]
+                maxt[i, j] = graded_weakest[i]
+    return {
+        method: InfluenceMatrix(nodes=c.nodes, values=values, variant=f"paths:{method}")
+        for method, values in fold.items()
+    }
 
 
 def lric_paths_matrix(
@@ -290,18 +383,7 @@ def lric_paths_matrix(
     """Long-range influence matrix: entry (i, j) aggregates all chains j -> i."""
     if method not in PATH_METHODS:
         raise ValueError(f"method must be one of {PATH_METHODS}, got {method!r}")
-    c = influence_matrix(net, policy)
-    n = len(c.nodes)
-    s_eff = n - 1 if s is None else s
-    values = np.zeros((n, n))
-    for j, source in enumerate(c.nodes):
-        for i, target in enumerate(c.nodes):
-            if i == j:
-                continue
-            paths = simple_paths(c, source, target, s_eff)
-            if paths:
-                values[i, j] = aggregate_paths(paths, method, schema, s_eff)
-    return InfluenceMatrix(nodes=c.nodes, values=values, variant=f"paths:{method}")
+    return lric_paths_matrices(net, policy, s, schema)[method]
 
 
 def lric_paths_vector(

@@ -113,6 +113,7 @@ class _CascadeEngine:
         self.values = values
         self.n = len(values)
         self.stage_limit = stage_limit
+        self._borrowers = [frozenset(np.flatnonzero(row > 0).tolist()) for row in values]
         self._defaulted: dict[frozenset[int], frozenset[int]] = {}
         self._minimal_groups: dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]] = {}
 
@@ -180,9 +181,7 @@ class _CascadeEngine:
                 return frozenset() if x in redundant else frozenset({x})
             return attr[x]
 
-        present = {
-            i: frozenset(k for k in d if self.values[i, k] > 0) for i in cascaded
-        }
+        present = {i: self._borrowers[i] & d for i in cascaded}
         changed = True
         while changed:
             changed = False

@@ -62,6 +62,13 @@ def test_eigenvector(ex1, ex2):
     assert max(got2) == 1.0
 
 
+def test_eigenvector_bipartite_star():
+    # spectrum of the symmetrized star is {-sqrt 5, 0, sqrt 5}: the plain
+    # iteration alternates between two vectors and never converges
+    scores = eigenvector(ingest_edges([("L", "a", 1), ("L", "b", 2)]))
+    assert scores == pytest.approx({"L": 1.0, "a": 5**-0.5, "b": 2 * 5**-0.5}, abs=1e-9)
+
+
 def test_eigenvector_requires_edges():
     net = ingest_edges([("a", "b", 0)])  # nodes survive, edge does not
     with pytest.raises(ValueError):

@@ -43,6 +43,14 @@ def test_parse_policy_abs(tmp_path):
         parse_policy(f"abs:{quotas}")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_parse_policy_abs_rejects_non_finite_threshold(tmp_path, raw):
+    quotas = tmp_path / "q.csv"
+    quotas.write_text(f"node,q\na,{raw}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"q\.csv: line 2: non-finite threshold"):
+        parse_policy(f"abs:{quotas}")
+
+
 def test_emit_report_csv_and_json():
     assert emit_report({"A": 1.0}) == b"node,score,rank\nA,1.000000,1\n"
     assert emit_report({}) == b"node,score,rank\n"
@@ -193,6 +201,17 @@ def test_non_finite_weight_fails_with_line(capsys, tmp_path):
     assert "line 2: non-finite weight" in err
 
 
+def test_all_methods_on_bipartite_star(capsys, tmp_path):
+    # one lender, two borrowers: power iteration on A + A^T alone oscillates
+    write_edges_csv(tmp_path / "star.csv", [("L", "a", 1), ("L", "b", 2)])
+    code, out, err = _run(
+        capsys, "compute", "--edges", str(tmp_path / "star.csv"), "--method", "all",
+        "--q", "out-share:0.5", "--seed", "1", "--runs", "200",
+    )
+    assert code == 0, err
+    assert "# eigenvector\nnode,score,rank\nL,1.000000,1\nb,0.894427,2\na,0.447214,3\n" in out
+
+
 def test_infeasible_policy_names_node(capsys, tmp_path):
     write_edges_csv(tmp_path / "e.csv", EX1_EDGES)
     (tmp_path / "attrs.csv").write_text("node,gdp\n1,1000\n", encoding="utf-8")
@@ -209,6 +228,9 @@ def test_policy_methods_require_q(capsys, ex1_csv):
     code, _, err = _run(capsys, "compute", "--edges", ex1_csv, "--method", "kbi")
     assert code == 2
     assert "threshold policy" in err
+    code, _, err = _run(capsys, "compute", "--edges", ex1_csv, "--method", "maxt,sumpaths")
+    assert code == 2
+    assert "method 'maxt' needs a threshold policy" in err
 
 
 def test_unknown_method(capsys, ex1_csv):

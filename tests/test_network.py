@@ -43,6 +43,11 @@ def test_ingest_rejects_non_finite_weight(w):
         ingest_edges([("a", "b", 1), ("a", "b", w)])
 
 
+def test_ingest_rejects_duplicates_summing_to_infinity():
+    with pytest.raises(ValueError, match=r"'a'->'b' sum to a non-finite value"):
+        ingest_edges([("a", "b", 1e308), ("a", "b", 1e308)])
+
+
 def test_ingest_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         ingest_edges([("a", "a", 1)])
@@ -172,6 +177,13 @@ def test_read_attributes_csv(tmp_path):
     p = _write(tmp_path / "a.csv", "node,gdp,pop\na,1.5,\nb,2,3\n")
     attrs = read_attributes_csv(p)
     assert attrs == {"gdp": {"a": 1.5, "b": 2.0}, "pop": {"b": 3.0}}
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_read_attributes_csv_rejects_non_finite_value(tmp_path, raw):
+    p = _write(tmp_path / "a.csv", f"node,gdp\na,1\nb,{raw}\n")
+    with pytest.raises(ValueError, match=r"a\.csv: line 3: non-finite gdp value"):
+        read_attributes_csv(p)
 
 
 def test_read_attributes_csv_duplicate_node(tmp_path):

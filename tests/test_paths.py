@@ -7,6 +7,7 @@ Matrix-level oracles use the exact fractions instead.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -14,20 +15,25 @@ import pytest
 from lricnet import (
     EIGHT_LEVEL,
     FIVE_LEVEL,
+    ExposureNetwork,
     GradeSchema,
+    OutShareQuota,
     RhoPath,
     aggregate_paths,
     best_graded_path,
     influence_matrix,
     ingest_edges,
     load_grade_schema,
+    lric_paths_matrices,
     lric_paths_matrix,
     lric_paths_vector,
+    net_mutual_exposures,
     path_influence,
     path_score_v,
     simple_paths,
     weighted_vector,
 )
+from lricnet.paths import PATH_METHODS
 
 # five chains from node 5 to node 1 of the bow-tie fixture
 P_521 = RhoPath(("5", "2", "1"), (0.2, 1.0))
@@ -247,3 +253,83 @@ def test_load_grade_schema_rejects_bad_mode(tmp_path):
     p2 = _write_schema(tmp_path / "g2.json", {"mode": "upper", "levels": []})
     with pytest.raises(ValueError, match="levels"):
         load_grade_schema(p2)
+
+
+# integer-like ids sort numerically before the rest, so "9" < "10" < "B" < "a"
+# in node order while plain string order gives "10" < "9" < "B" < "a"
+FOLD_IDS = ["1", "2", "9", "10", "12", "100", "B", "a", "b", "x7"]
+
+
+def _per_pair_reference(net, policy, s, schema):
+    """Every method's matrix from simple_paths + aggregate_paths per pair."""
+    c = influence_matrix(net, policy)
+    n = len(c.nodes)
+    s_eff = n - 1 if s is None else s
+    ref = {method: np.zeros((n, n)) for method in PATH_METHODS}
+    for j, source in enumerate(c.nodes):
+        for i, target in enumerate(c.nodes):
+            if i == j:
+                continue
+            chains = simple_paths(c, source, target, s_eff)
+            if chains:
+                for method, values in ref.items():
+                    values[i, j] = aggregate_paths(chains, method, schema, s_eff)
+    return ref
+
+
+def _random_fold_net(rng):
+    ids = rng.sample(FOLD_IDS, rng.randint(2, 9))
+    integer = rng.random() < 0.5  # integer weights give many equal influences
+    records = [
+        (a, b, rng.randint(1, 6) if integer else rng.uniform(0.1, 10.0))
+        for a in ids
+        for b in ids
+        if a != b and rng.random() < 0.45
+    ]
+    net = net_mutual_exposures(ingest_edges(records))
+    nodes = list(net.nodes)
+    if rng.random() < 0.5:
+        # node tuple out of node order: index order differs from node order
+        rng.shuffle(nodes)
+    return ExposureNetwork(nodes=tuple(nodes), edges=net.edges)
+
+
+def test_one_pass_fold_matches_per_pair_oracle():
+    rng = random.Random(20181027)
+    for case in range(240):
+        net = _random_fold_net(rng)
+        policy = OutShareQuota(rng.choice([0.2, 0.25, 0.4, 0.5, 1.0]))
+        s = (None, 1, 2, 3)[case % 4]
+        schema = (FIVE_LEVEL, EIGHT_LEVEL)[case // 4 % 2]
+        got = lric_paths_matrices(net, policy, s, schema)
+        ref = _per_pair_reference(net, policy, s, schema)
+        assert list(got) == list(ref)
+        for method, matrix in got.items():
+            assert matrix.nodes == net.nodes
+            assert matrix.variant == f"paths:{method}"
+            assert np.array_equal(matrix.values, ref[method]), (case, method, net.nodes, s)
+            if case % 8 == 0:
+                single = lric_paths_matrix(net, policy, method, s, schema)
+                assert np.array_equal(single.values, matrix.values)
+                assert single.variant == matrix.variant
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_one_pass_fold_breaks_grade_ties_in_node_order(reverse):
+    # out-share 1: every borrower is pivotal with influence weight / lending.
+    # Chains s -> 9 -> t and s -> 10 -> t grade (4, 2) alike, so the tie goes
+    # to the smaller node sequence, via "9", whose product is 0.3, not 0.4.
+    net = ingest_edges(
+        [("t", "9", 3), ("t", "10", 4), ("t", "x", 3), ("9", "s", 1), ("10", "s", 1)]
+    )
+    nodes = tuple(reversed(net.nodes)) if reverse else net.nodes
+    net = ExposureNetwork(nodes=nodes, edges=net.edges)
+    policy = OutShareQuota(1.0)
+    got = lric_paths_matrices(net, policy)
+    assert got["multt"].entry("t", "s") == 0.3
+    assert got["maxt"].entry("t", "s") == 0.3
+    assert got["maxpath"].entry("t", "s") == 0.4
+    assert got["sumpaths"].entry("t", "s") == 0.3 + 0.4
+    ref = _per_pair_reference(net, policy, None, FIVE_LEVEL)
+    for method, matrix in got.items():
+        assert np.array_equal(matrix.values, ref[method]), method
