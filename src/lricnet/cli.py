@@ -12,7 +12,6 @@ are the long flag names with underscores); explicit flags override the file,
 the file overrides built-in defaults.  With the same inputs, flags, and seed
 the emitted bytes are identical run to run.  ``compute`` runs the named path
 methods last, all from one pass that folds the chains for all five at once.
-``LRIC_THREADS`` caps the worker threads used to compute the other methods.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -225,19 +222,6 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
     return settings
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LRIC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"LRIC_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _build_network(settings: dict) -> ExposureNetwork:
     if not settings["edges"]:
         raise ValueError("--edges is required")
@@ -366,19 +350,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     names = _method_list(settings["method"])
     policy = parse_policy(settings["q"]) if settings["q"] else None
     schema = _resolve_grades(settings["grades"])
-    threads = _thread_count()
-    others = [name for name in names if name not in PATH_METHODS]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                name: pool.submit(_compute_one, name, net, policy, schema, settings)
-                for name in others
-            }
-            results = {name: futures[name].result() for name in others}
-    else:
-        results = {
-            name: _compute_one(name, net, policy, schema, settings) for name in others
-        }
+    results = {
+        name: _compute_one(name, net, policy, schema, settings)
+        for name in names
+        if name not in PATH_METHODS
+    }
     results.update(_path_results(names, net, policy, schema, settings))
     outdir = settings["output_dir"]
     fmt = settings["format"]

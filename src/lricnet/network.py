@@ -189,15 +189,15 @@ def threshold(net: ExposureNetwork, policy: ThresholdPolicy, node: str) -> float
         return policy.fraction * out_strength(net, node)
     if isinstance(policy, AttributeShare):
         value = net.attribute(policy.attribute, node)
-        if value is None or value <= 0:
+        if value is None or not (value > 0) or not math.isfinite(value):
             raise ValueError(
-                f"lender {node!r} has no positive {policy.attribute!r} attribute"
+                f"lender {node!r} has no positive finite {policy.attribute!r} attribute"
             )
         return policy.fraction * value
     if isinstance(policy, Absolute):
         q = policy.quotas.get(node)
-        if q is None or q <= 0:
-            raise ValueError(f"lender {node!r} has no positive threshold")
+        if q is None or not (q > 0) or not math.isfinite(q):
+            raise ValueError(f"lender {node!r} has no positive finite threshold")
         return q
     raise TypeError(f"unknown policy {policy!r}")
 
@@ -211,8 +211,8 @@ def normalize_by_attribute(net: ExposureNetwork, attribute: str) -> ExposureNetw
     edges: dict[tuple[str, str], float] = {}
     for (a, b), w in net.edges.items():
         value = net.attribute(attribute, a)
-        if value is None or value <= 0:
-            raise ValueError(f"lender {a!r} has no positive {attribute!r} attribute")
+        if value is None or not (value > 0) or not math.isfinite(value):
+            raise ValueError(f"lender {a!r} has no positive finite {attribute!r} attribute")
         edges[(a, b)] = w / value
     return ExposureNetwork(nodes=net.nodes, edges=edges, attributes=net.attributes)
 

@@ -104,40 +104,78 @@ def share_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatr
 class _CascadeEngine:
     """Cascades and attribution over the share matrix, with memoization.
 
-    All sets are frozensets of node indices.  The caches are what make
-    exhaustive runs cheap: redundancy checks re-cascade many near-identical
-    seed sets.
+    All sets are frozensets of node indices.  A cascade stage looks only at
+    the surviving lenders of the nodes that defaulted in the stage before
+    (the frontier), summing each one's defaulted shares left to right in
+    borrower index order; no other lender's loss can have grown.  A seed is
+    redundant if another seed's solo cascade already sinks it; only when no
+    seed does is the seed set re-cascaded without it.  Both shortcuts are
+    exact because the staged cascade is monotone in its seed set when no
+    share is negative.  The counters feed the debug line of `simulate`.
     """
 
     def __init__(self, values: np.ndarray, stage_limit: int | None = None) -> None:
         self.values = values
-        self.n = len(values)
         self.stage_limit = stage_limit
-        self._borrowers = [frozenset(np.flatnonzero(row > 0).tolist()) for row in values]
+        # per lender, its (borrower, share) pairs in index order; per
+        # borrower, its lenders
+        self._shares: list[list[tuple[int, float]]] = []
+        self._borrowers: list[frozenset[int]] = []
+        self._lenders: list[list[int]] = [[] for _ in values]
+        for i, row in enumerate(values):
+            cols = np.flatnonzero(row).tolist()
+            pairs = list(zip(cols, row[cols].tolist()))
+            self._shares.append(pairs)
+            self._borrowers.append(frozenset(k for k, share in pairs if share > 0))
+            for k in cols:
+                self._lenders[k].append(i)
+        # a negative share breaks monotonicity, and with it the solo witness
+        self._monotone = not (values < 0).any()
         self._defaulted: dict[frozenset[int], frozenset[int]] = {}
         self._minimal_groups: dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]] = {}
+        self._solo: dict[int, frozenset[int]] = {}
+        self.cascades = 0
+        self.cache_hits = 0
+        self.solo_witnesses = 0
 
     def stages(self, initial: frozenset[int]) -> list[frozenset[int]]:
-        d = np.zeros(self.n, dtype=bool)
-        d[list(initial)] = True
+        d = set(initial)
+        frontier: frozenset[int] | set[int] = initial
         stages: list[frozenset[int]] = []
         while self.stage_limit is None or len(stages) < self.stage_limit:
-            losses = self.values @ d
-            fresh = (losses >= 1 - TOL) & ~d
-            if not fresh.any():
+            fresh = set()
+            for i in {i for k in frontier for i in self._lenders[k]} - d:
+                loss = 0.0
+                for k, share in self._shares[i]:
+                    if k in d:
+                        loss += share
+                if loss >= 1 - TOL:
+                    fresh.add(i)
+            if not fresh:
                 break
-            stages.append(frozenset(np.flatnonzero(fresh).tolist()))
+            stages.append(frozenset(fresh))
             d |= fresh
+            frontier = fresh
         return stages
 
     def defaulted(self, initial: frozenset[int]) -> frozenset[int]:
         cached = self._defaulted.get(initial)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+        self.cascades += 1
+        result = set(initial)
+        for stage in self.stages(initial):
+            result.update(stage)
+        cached = frozenset(result)
+        self._defaulted[initial] = cached
+        return cached
+
+    def solo(self, j: int) -> frozenset[int]:
+        """The nodes defaulted when `j` alone is seeded."""
+        cached = self._solo.get(j)
         if cached is None:
-            result = set(initial)
-            for stage in self.stages(initial):
-                result.update(stage)
-            cached = frozenset(result)
-            self._defaulted[initial] = cached
+            cached = self._solo[j] = self.defaulted(frozenset({j}))
         return cached
 
     def minimal_groups(
@@ -167,12 +205,19 @@ class _CascadeEngine:
         self._minimal_groups[key] = result
         return result
 
+    def _redundant(self, x: int, initial: frozenset[int]) -> bool:
+        """Whether the seeds of `initial` other than `x` default `x` anyway."""
+        if self._monotone:
+            for y in initial:
+                if y != x and x in self.solo(y):
+                    self.solo_witnesses += 1
+                    return True
+        return x in self.defaulted(initial - {x})
+
     def attributions(self, initial: frozenset[int]) -> dict[int, frozenset[int]]:
         """Per cascaded default, the seeds credited with causing it."""
         d = self.defaulted(initial)
-        redundant = {
-            x for x in initial if x in self.defaulted(initial - {x})
-        }
+        redundant = {x for x in initial if self._redundant(x, initial)}
         cascaded = sorted(d - initial)
         attr: dict[int, frozenset[int]] = {i: frozenset() for i in cascaded}
 
@@ -251,7 +296,7 @@ def pivotal_initiators(
     credited = {
         j
         for j in seed_idx
-        if target in engine.defaulted(frozenset({j})) or j in attr[target]
+        if target in engine.solo(j) or j in attr[target]
     }
     return frozenset(c.nodes[j] for j in credited)
 
@@ -315,23 +360,34 @@ def simulate(
     shares = share_matrix(net, policy)
     n = len(shares.nodes)
     engine = _CascadeEngine(shares.values, stage_limit=s)
-    credits = np.zeros((n, n))
-    sampled = np.zeros((n, n))
-    solo = {j: engine.defaulted(frozenset({j})) for j in range(n)}
+    # integer counts, converted once at the end; together[j][j] counts the
+    # runs seeding j
+    credits = [[0] * n for _ in range(n)]
+    together = [[0] * n for _ in range(n)]
+    solo = [engine.solo(j) for j in range(n)]
     runs = 0
     for seed_set in _seed_sets(plan, shares.nodes):
         runs += 1
-        in_seed = np.zeros(n, dtype=bool)
-        in_seed[list(seed_set)] = True
-        sampled += np.outer(~in_seed, in_seed)
-        attr = engine.attributions(seed_set)
-        for i, credited_via_chain in attr.items():
+        for i in seed_set:
+            row = together[i]
+            for j in seed_set:
+                row[j] += 1
+        for i, credited_via_chain in engine.attributions(seed_set).items():
+            row = credits[i]
             for j in seed_set:
                 if i in solo[j] or j in credited_via_chain:
-                    credits[i, j] += 1.0
-    logger.debug("simulated %d runs on %d nodes", runs, n)
+                    row[j] += 1
+    logger.debug(
+        "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
+        "%d redundancy checks settled by a solo cascade",
+        runs, n, engine.cascades, engine.cache_hits, engine.solo_witnesses,
+    )
+    # reshape keeps an empty network's matrices 0 x 0
+    paired = np.array(together, dtype=float).reshape(n, n)
+    # runs seeding j without i
+    sampled = np.diagonal(paired)[None, :] - paired
     with np.errstate(invalid="ignore"):
-        values = credits / sampled
+        values = np.array(credits, dtype=float).reshape(n, n) / sampled
     np.fill_diagonal(values, 0.0)
     return InfluenceMatrix(nodes=shares.nodes, values=values, variant="simulated")
 

@@ -1,9 +1,14 @@
 """End-to-end command line behaviour (argument parsing through report bytes)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lricnet
 from conftest import EX1_EDGES, write_edges_csv
 from lricnet import Absolute, AttributeShare, OutShareQuota, ingest_edges, kbi
 from lricnet.cli import emit_report, parse_policy, run
@@ -127,22 +132,27 @@ def test_random_sim_seed_determinism(capsys, ex1_csv, tmp_path):
     assert first == second
 
 
-def test_threads_env_does_not_change_output(capsys, ex1_csv, tmp_path, monkeypatch):
-    monkeypatch.delenv("LRIC_THREADS", raising=False)
-    _compute_all(capsys, ex1_csv, tmp_path / "serial")
-    monkeypatch.setenv("LRIC_THREADS", "4")
-    _compute_all(capsys, ex1_csv, tmp_path / "threaded")
-    for p in sorted((tmp_path / "serial").iterdir()):
-        assert p.read_bytes() == (tmp_path / "threaded" / p.name).read_bytes(), p.name
-
-
-def test_threads_env_validation(capsys, ex1_csv, monkeypatch):
-    monkeypatch.setenv("LRIC_THREADS", "0")
-    code, _, err = _run(
-        capsys, "compute", "--edges", ex1_csv, "--method", "in-degree"
+def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
+    package_root = str(Path(lricnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    assert code == 2
-    assert "LRIC_THREADS" in err
+    cli = "import sys; from lricnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [
+        "compute", "--edges", ex1_csv, "--q", "out-share:0.25", "--method", "sim",
+        "--sim-mode", "exhaustive", "--k0-max", "2", "--emit-matrices",
+    ]
+    quiet, loud = (
+        subprocess.run(
+            [sys.executable, "-c", cli, *flags, *argv],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        for flags in ([], ["-vv"])
+    )
+    assert loud.stdout == quiet.stdout
+    assert b"DEBUG lricnet.simulation: simulated 55 runs on 10 nodes: " in loud.stderr
+    assert b"simulated" not in quiet.stderr
 
 
 def test_matrix_csv_roundtrips(capsys, ex1_csv, tmp_path):

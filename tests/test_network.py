@@ -10,6 +10,7 @@ from lricnet import (
     OutShareQuota,
     in_strength,
     ingest_edges,
+    kbi,
     net_mutual_exposures,
     node_sort_key,
     normalize_by_attribute,
@@ -123,6 +124,26 @@ def test_absolute_threshold_names_missing_node():
     assert threshold(net, Absolute({"a": 30.0}), "a") == 30.0
     with pytest.raises(ValueError, match="'a'"):
         threshold(net, Absolute({}), "a")
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0])
+def test_absolute_threshold_rejects_non_positive_or_non_finite(q):
+    net = ingest_edges([("a", "b", 1), ("a", "c", 2), ("b", "c", 1)])
+    policy = Absolute({"a": q, "b": 1.0})
+    with pytest.raises(ValueError, match="lender 'a' has no positive finite threshold"):
+        threshold(net, policy, "a")
+    # kbi fails as well, instead of giving 'a' an all-zero row
+    with pytest.raises(ValueError, match="lender 'a' has no positive finite threshold"):
+        kbi(net, policy)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_attribute_share_rejects_non_finite_attribute(value):
+    net = ingest_edges([("a", "b", 50)], attributes={"gdp": {"a": value}})
+    with pytest.raises(ValueError, match="lender 'a' has no positive finite 'gdp' attribute"):
+        threshold(net, AttributeShare("gdp", 0.10), "a")
+    with pytest.raises(ValueError, match="lender 'a' has no positive finite 'gdp' attribute"):
+        normalize_by_attribute(net, "gdp")
 
 
 def test_normalize_by_attribute():

@@ -6,13 +6,18 @@ engine must reproduce it cell for cell; keeping the oracle independent of
 the production code is the point, so resist deduplicating them.
 """
 
+import logging
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from lricnet import (
+    Absolute,
     CascadeTrace,
+    InfluenceMatrix,
+    OutShareQuota,
     SimulationPlan,
     cascade,
     ingest_edges,
@@ -22,6 +27,7 @@ from lricnet import (
     simulate,
     vector_from_simulation,
 )
+from lricnet.simulation import _CascadeEngine
 
 TOL = 1e-9
 
@@ -208,6 +214,11 @@ def test_k0_max_above_node_count(quarter):
     assert matrix.entry("b", "a") == 0.0
 
 
+def test_empty_network_gives_empty_matrix(quarter):
+    matrix = simulate(ingest_edges([]), quarter, SimulationPlan(mode="exhaustive"))
+    assert matrix.values.shape == (0, 0)
+
+
 def test_lric_sim_vector_runs(ex2, quarter):
     plan = SimulationPlan(mode="exhaustive", k0_max=5)
     vec = lric_sim_vector(ex2, quarter, plan)
@@ -216,22 +227,25 @@ def test_lric_sim_vector_runs(ex2, quarter):
     assert vec["11"] > vec["10"] == 0.0
 
 
-def _brute_matrix(net, policy, k_max):
+def _brute_matrix(net, policy, k_max, s=None):
     shares = share_matrix(net, policy)
     a = shares.values
     n = len(shares.nodes)
 
     def casc(seed):
         d = set(seed)
-        while True:
+        stage = 0
+        while s is None or stage < s:
             fresh = {
                 i
                 for i in range(n)
                 if i not in d and sum(a[i, k] for k in d) >= 1 - TOL
             }
             if not fresh:
-                return frozenset(d)
+                break
             d |= fresh
+            stage += 1
+        return frozenset(d)
 
     def minimal_groups(i, pool):
         members = sorted(k for k in pool if a[i, k] > 0)
@@ -286,3 +300,115 @@ def test_engine_matches_brute_force(fixture_name, quarter, request):
     expected = _brute_matrix(net, quarter, k_max=3)
     got = simulate(net, quarter, SimulationPlan(mode="exhaustive", k0_max=3))
     assert np.array_equal(got.values, expected, equal_nan=True)
+
+
+def _random_net(rng):
+    """2-8 nodes, each ordered pair an edge with probability 0.4; integer
+    weights in [1, 100] or float weights in [0.1, 100)."""
+    n = rng.randint(2, 8)
+    integer = rng.random() < 0.5
+    records = []
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < 0.4:
+                w = rng.randint(1, 100) if integer else rng.uniform(0.1, 100.0)
+                records.append((str(a), str(b), w))
+    if not records:
+        records.append(("0", "1", 1))
+    return ingest_edges(records)
+
+
+def _random_cases(count):
+    rng = random.Random(20261018)
+    for k in range(count):
+        net = _random_net(rng)
+        policy = OutShareQuota(rng.choice([0.25, 0.5, 0.75]))
+        yield net, policy, (None, 1, 2)[k % 3]
+
+
+def _dense_stages(values, initial, stage_limit):
+    """The engine's former dense cascade: one matvec over every lender per stage."""
+    d = np.zeros(len(values), dtype=bool)
+    d[list(initial)] = True
+    stages = []
+    while stage_limit is None or len(stages) < stage_limit:
+        losses = values @ d
+        fresh = (losses >= 1 - TOL) & ~d
+        if not fresh.any():
+            break
+        stages.append(frozenset(np.flatnonzero(fresh).tolist()))
+        d |= fresh
+    return stages
+
+
+def test_engine_matches_brute_force_on_random_nets():
+    for net, policy, s in _random_cases(150):
+        plan = SimulationPlan(mode="exhaustive", k0_max=3)
+        expected = _brute_matrix(net, policy, k_max=3, s=s)
+        got = simulate(net, policy, plan, s)
+        assert np.array_equal(got.values, expected, equal_nan=True), (net.edges, s)
+
+
+def test_frontier_stages_match_dense_stages_on_random_nets():
+    for net, policy, s in _random_cases(150):
+        values = share_matrix(net, policy).values
+        engine = _CascadeEngine(values, stage_limit=s)
+        n = len(values)
+        for size in range(1, min(3, n) + 1):
+            for seed in map(frozenset, combinations(range(n), size)):
+                assert engine.stages(seed) == _dense_stages(values, seed, s), (
+                    net.edges, s, seed,
+                )
+
+
+def test_redundancy_through_two_seeds_together():
+    # x lends half its threshold to each of y and z, so neither seed alone
+    # sinks x but both together do: x is redundant only through the
+    # re-cascade of the seed set without it.  L then defaults on {x, y},
+    # and only y is credited.
+    net = ingest_edges([("x", "y", 1), ("x", "z", 1), ("L", "x", 1), ("L", "y", 1)])
+    c = share_matrix(net, Absolute({"x": 2, "L": 2}))
+    seeds = {"x", "y", "z"}
+    assert pivotal_initiators(c, "L", seeds) == frozenset({"y"})
+    engine = _CascadeEngine(c.values)
+    index = {v: k for k, v in enumerate(c.nodes)}
+    attr = engine.attributions(frozenset(index[v] for v in seeds))
+    assert attr[index["L"]] == frozenset({index["y"]})
+    assert engine.solo_witnesses == 0
+
+
+def test_negative_share_disables_solo_witness():
+    # y alone sinks x, but with z also defaulted x's loss is 1 - 1 = 0, so
+    # x is not redundant in {x, y, z}; L defaults on {x, z} and credits both
+    nodes = ("L", "x", "y", "z")
+    values = np.array([
+        [0.0, 0.6, 0.0, 0.6],
+        [0.0, 0.0, 1.0, -1.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    c = InfluenceMatrix(nodes=nodes, values=values, variant="shares")
+    assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x", "z"})
+
+
+def test_solo_witness_settles_redundancy(ex1, quarter):
+    # 10's solo cascade sinks 7, so 7 is redundant in {7, 10} without a
+    # re-cascade of {10}
+    engine = _CascadeEngine(share_matrix(ex1, quarter).values)
+    index = {v: k for k, v in enumerate(ex1.nodes)}
+    engine.attributions(frozenset({index["7"], index["10"]}))
+    assert engine.solo_witnesses == 1
+    # {7, 10} and the two solo cascades; the fallback for 10 re-uses {7}'s
+    assert engine.cascades == 3
+    assert engine.cache_hits == 1
+
+
+def test_simulate_logs_work_counters(ex1, quarter, caplog):
+    plan = SimulationPlan(mode="exhaustive", k0_max=2)
+    with caplog.at_level(logging.DEBUG, logger="lricnet.simulation"):
+        simulate(ex1, quarter, plan)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "lricnet.simulation"]
+    assert line.startswith("simulated 55 runs on 10 nodes: ")
+    assert "cascades" in line
+    assert "cascade-cache hits" in line
+    assert "redundancy checks settled by a solo cascade" in line
