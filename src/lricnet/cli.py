@@ -10,25 +10,28 @@ Subcommands:
 ``compute`` and ``cascade`` accept ``--config FILE`` (JSON object whose keys
 are the long flag names with underscores); explicit flags override the file,
 the file overrides built-in defaults.  With the same inputs, flags, and seed
-the emitted bytes are identical run to run.  ``compute`` runs the named path
-methods last, all from one pass that folds the chains for all five at once.
+the emitted bytes are identical run to run.  ``compute`` walks each lender's
+pivotal groups once for KBI and the path methods together, and runs the named
+path methods last, all from one pass that folds the chains for all five at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .centrality import betweenness, closeness, degree_measures, eigenvector, pagerank
-from .kbi import kbi_from_rows, kbi_matrix, kbi_rows
+from .groups import _lender_passes, _LenderPass
+from .kbi import _kbi_rows, kbi_from_rows, kbi_matrix
 from .network import (
     Absolute,
     AttributeShare,
@@ -46,7 +49,8 @@ from .paths import (
     GRADE_SCHEMAS,
     PATH_METHODS,
     GradeSchema,
-    lric_paths_matrices,
+    _fold_chains,
+    _influence_from_passes,
     load_grade_schema,
     weighted_vector,
 )
@@ -270,7 +274,7 @@ def _compute_one(
     name: str,
     net: ExposureNetwork,
     policy: ThresholdPolicy | None,
-    schema: GradeSchema,
+    passes: Callable[[], dict[str, _LenderPass]],
     settings: dict,
 ) -> tuple[dict[str, float], tuple[Sequence[str], np.ndarray] | None]:
     if name == "in-degree":
@@ -295,7 +299,7 @@ def _compute_one(
         raise ValueError(f"method {name!r} needs a threshold policy (--q)")
     emit = settings["emit_matrices"]
     if name == "kbi":
-        rows = kbi_rows(net, policy)
+        rows = _kbi_rows(passes())
         scores = kbi_from_rows(net, rows)
         return scores, (net.nodes, kbi_matrix(net, rows)) if emit else None
     if name == "sim":
@@ -320,20 +324,21 @@ def _path_results(
     names: Sequence[str],
     net: ExposureNetwork,
     policy: ThresholdPolicy | None,
+    passes: Callable[[], dict[str, _LenderPass]],
     schema: GradeSchema,
     settings: dict,
 ) -> dict[str, tuple[dict[str, float], tuple[Sequence[str], np.ndarray] | None]]:
     """Results of the named path methods, all from one fold over the chains.
 
     Run it after the other methods: its matrices would otherwise stay live
-    through their group enumerations and raise the peak memory.
+    while they run and raise the peak memory.
     """
     path_names = [name for name in names if name in PATH_METHODS]
     if not path_names:
         return {}
     if policy is None:
         raise ValueError(f"method {path_names[0]!r} needs a threshold policy (--q)")
-    matrices = lric_paths_matrices(net, policy, settings["s"], schema)
+    matrices = _fold_chains(_influence_from_passes(net, passes()), settings["s"], schema)
     results = {}
     for name in path_names:
         matrix = matrices[name]
@@ -350,12 +355,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     names = _method_list(settings["method"])
     policy = parse_policy(settings["q"]) if settings["q"] else None
     schema = _resolve_grades(settings["grades"])
+    # walked at first use, so errors keep the order of the method list
+    passes = functools.cache(lambda: _lender_passes(net, policy))
     results = {
-        name: _compute_one(name, net, policy, schema, settings)
+        name: _compute_one(name, net, policy, passes, settings)
         for name in names
         if name not in PATH_METHODS
     }
-    results.update(_path_results(names, net, policy, schema, settings))
+    results.update(_path_results(names, net, policy, passes, schema, settings))
     outdir = settings["output_dir"]
     fmt = settings["format"]
     if outdir:

@@ -9,9 +9,13 @@ path-based influence matrix.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .network import ExposureNetwork, ThresholdPolicy, threshold
+from .network import ExposureNetwork, ThresholdPolicy, out_strength, threshold
+
+logger = logging.getLogger(__name__)
 
 # Absolute tolerance for q comparisons.  Exact boundary cases occur in real
 # inputs (a single loan equal to q), and must count as critical.
@@ -121,16 +125,14 @@ def _candidates(
     return by_size
 
 
-def _enumerate(
-    net: ExposureNetwork,
-    lender: str,
-    policy: ThresholdPolicy,
-    cap: int,
-    pivotal_only: bool,
-) -> list[CriticalGroup]:
+def _search_input(
+    net: ExposureNetwork, lender: str, policy: ThresholdPolicy, cap: int
+) -> tuple[tuple[str, ...], list[float], float] | None:
+    """The lender's borrowers in node order, their loans and the critical
+    floor q - TOL; None when the lender has no threshold."""
     q = threshold(net, policy, lender)
     if q is None:
-        return []
+        return None
     borrowers = net.borrowers_of(lender)
     if len(borrowers) > cap:
         raise ValueError(
@@ -138,8 +140,20 @@ def _enumerate(
             f"enumeration is capped at {cap} (raise the cap or use the "
             f"simulation index)"
         )
-    weights = [net.weight(lender, b) for b in borrowers]
-    floor = q - TOL
+    return borrowers, [net.weight(lender, b) for b in borrowers], q - TOL
+
+
+def _enumerate(
+    net: ExposureNetwork,
+    lender: str,
+    policy: ThresholdPolicy,
+    cap: int,
+    pivotal_only: bool,
+) -> list[CriticalGroup]:
+    found = _search_input(net, lender, policy, cap)
+    if found is None:
+        return []
+    borrowers, weights, floor = found
     groups: list[CriticalGroup] = []
     for candidates in _candidates(weights, floor, pivotal_only):
         candidates.sort()  # node order within each size, the documented order
@@ -161,6 +175,90 @@ def _enumerate(
                 )
             )
     return groups
+
+
+class _LenderPass(NamedTuple):
+    """What one lender's pivotal groups yield, per borrower in node order."""
+
+    borrowers: tuple[str, ...]
+    weights: list[float]
+    # unnormalized KBI score: sum over pivotal groups G of
+    # ((w_i + reinforcement of i by G) / s_L) / |G|
+    masses: list[float]
+    # smallest total of a group in which the borrower is pivotal; None if none
+    min_totals: list[float | None]
+    groups: int
+
+
+def _lender_pass(
+    net: ExposureNetwork,
+    lender: str,
+    policy: ThresholdPolicy,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> _LenderPass | None:
+    """One walk over the lender's pivotal groups that serves the KBI row, the
+    direct influence row and :func:`minimal_pivotal_sum`; None when the
+    lender has no threshold.
+
+    Groups are visited, and totals and reinforcements summed, exactly as
+    :func:`pivotal_groups` and the KBI formula over its output do, so every
+    float equals the one computed from the listed groups.
+    """
+    found = _search_input(net, lender, policy, cap)
+    if found is None:
+        return None
+    borrowers, weights, floor = found
+    n = len(borrowers)
+    scale = out_strength(net, lender)
+    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i; None
+    # for a borrower no co-member reinforces, whose term is then w_i / s_L
+    support: list[list[float] | None] = []
+    for bi in borrowers:
+        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
+        support.append(row if any(row) else None)
+    alone = [w / scale for w in weights]
+    masses = [0.0] * n
+    min_totals: list[float | None] = [None] * n
+    groups = 0
+    for candidates in _candidates(weights, floor, pivotal_only=True):
+        candidates.sort()
+        for combo in candidates:
+            total = sum([weights[i] for i in combo])
+            if total < floor:
+                continue
+            pivotal = [i for i in combo if total - weights[i] < floor]
+            if not pivotal:
+                continue
+            groups += 1
+            size = len(combo)
+            for i in pivotal:
+                row = support[i]
+                if row is None:
+                    masses[i] += alone[i] / size
+                else:
+                    reinforcement = sum([row[j] for j in combo if j != i])
+                    masses[i] += ((weights[i] + reinforcement) / scale) / size
+                best = min_totals[i]
+                if best is None or total < best:
+                    min_totals[i] = total
+    return _LenderPass(borrowers, weights, masses, min_totals, groups)
+
+
+def _lender_passes(
+    net: ExposureNetwork, policy: ThresholdPolicy
+) -> dict[str, _LenderPass]:
+    """:func:`_lender_pass` of every lender with a threshold, in ``net.nodes``
+    order."""
+    passes = {}
+    for lender in net.nodes:
+        found = _lender_pass(net, lender, policy)
+        if found is not None:
+            passes[lender] = found
+    logger.debug(
+        "pivotal-group pass: %d lenders visited, %d pivotal groups tallied",
+        len(passes), sum(found.groups for found in passes.values()),
+    )
+    return passes
 
 
 def critical_groups(
@@ -209,8 +307,6 @@ def minimal_pivotal_sum(
     """
     if borrower not in net.borrowers_of(lender):
         raise ValueError(f"{borrower!r} is not a direct borrower of {lender!r}")
-    best: float | None = None
-    for group in pivotal_groups(net, lender, policy, cap=cap):
-        if borrower in group.pivotal and (best is None or group.total < best):
-            best = group.total
-    return best
+    found = _lender_pass(net, lender, policy, cap)
+    assert found is not None  # a lender with a borrower has a threshold
+    return found.min_totals[found.borrowers.index(borrower)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import pivotal_groups
+from .groups import _lender_pass, _lender_passes, _LenderPass
 from .network import ExposureNetwork, ThresholdPolicy, out_strength
 
 
@@ -54,36 +54,27 @@ def kbi_for_lender(
     Every sum runs in borrower node order, so the float result does not
     depend on set iteration order.
     """
-    total = out_strength(net, lender)
-    if total == 0:
+    if out_strength(net, lender) == 0:
         raise ValueError(f"{lender!r} has no outgoing exposure")
-    borrowers = net.borrowers_of(lender)
-    loans = {b: net.weight(lender, b) for b in borrowers}
-    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i
-    support = {
-        i: {j: min(net.weight(j, i), loans[j]) for j in borrowers} for i in borrowers
-    }
-    alpha = {b: 0.0 for b in borrowers}
-    for group in pivotal_groups(net, lender, policy):
-        members = [b for b in borrowers if b in group.members]
-        for member in members:
-            if member not in group.pivotal:
-                continue
-            reinforcement = sum(support[member][j] for j in members if j != member)
-            alpha[member] += ((loans[member] + reinforcement) / total) / len(members)
-    mass = sum(alpha.values())
+    found = _lender_pass(net, lender, policy)
+    assert found is not None  # a lender with outgoing exposure has a threshold
+    return _kbi_row(found)
+
+
+def _kbi_row(found: _LenderPass) -> dict[str, float]:
+    mass = sum(found.masses)
     if mass == 0:
-        return alpha
-    return {b: v / mass for b, v in alpha.items()}
+        return dict(zip(found.borrowers, found.masses))
+    return {b: v / mass for b, v in zip(found.borrowers, found.masses)}
+
+
+def _kbi_rows(passes: dict[str, _LenderPass]) -> dict[str, dict[str, float]]:
+    return {lender: _kbi_row(found) for lender, found in passes.items()}
 
 
 def kbi_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, dict[str, float]]:
     """``kbi_for_lender`` of every lender with outgoing exposure, in node order."""
-    return {
-        lender: kbi_for_lender(net, lender, policy)
-        for lender in net.nodes
-        if out_strength(net, lender) != 0
-    }
+    return _kbi_rows(_lender_passes(net, policy))
 
 
 def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> dict[str, float]:

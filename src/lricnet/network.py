@@ -39,24 +39,26 @@ class ExposureNetwork:
     attributes:
         Map ``attribute name -> {node -> value}``.  Values are nonnegative;
         a node absent from the inner map has no value for that attribute.
+
+    ``node_set`` is ``frozenset(nodes)``, built once.
     """
 
     nodes: tuple[str, ...]
     edges: dict[tuple[str, str], float]
     attributes: dict[str, dict[str, float]] = field(default_factory=dict)
+    node_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "node_set", frozenset(self.nodes))
         for (a, b), w in self.edges.items():
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight on edge {a!r}->{b!r}: {w}")
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge {a!r}->{b!r}: {w}")
             if a not in self.node_set or b not in self.node_set:
                 raise ValueError(f"edge {a!r}->{b!r} references unknown node")
-
-    @property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
 
     def weight(self, lender: str, borrower: str) -> float:
         """Exposure of `lender` to `borrower`; 0.0 when there is no edge."""
@@ -181,12 +183,11 @@ def threshold(net: ExposureNetwork, policy: ThresholdPolicy, node: str) -> float
     lose and can never cascade-default (they may still be initial
     defaulters in simulations).
     """
-    if node not in net.node_set:
-        raise ValueError(f"unknown node {node!r}")
-    if out_strength(net, node) == 0:
+    strength = out_strength(net, node)  # also rejects an unknown node
+    if strength == 0:
         return None
     if isinstance(policy, OutShareQuota):
-        return policy.fraction * out_strength(net, node)
+        return policy.fraction * strength
     if isinstance(policy, AttributeShare):
         value = net.attribute(policy.attribute, node)
         if value is None or not (value > 0) or not math.isfinite(value):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import pivotal_groups
+from .groups import _lender_passes, _LenderPass
 from .network import ExposureNetwork, ThresholdPolicy, node_sort_key, out_strength
 
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
@@ -151,16 +151,22 @@ class RhoPath:
 
 def influence_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatrix:
     """Direct influence: exposure over the smallest pivotal group total."""
+    return _influence_from_passes(net, _lender_passes(net, policy))
+
+
+def _influence_from_passes(
+    net: ExposureNetwork, passes: dict[str, _LenderPass]
+) -> InfluenceMatrix:
+    # w / min(total) is the largest w / total: division by a positive
+    # divisor is monotone in IEEE arithmetic
     nodes = net.nodes
     index = {v: k for k, v in enumerate(nodes)}
     values = np.zeros((len(nodes), len(nodes)))
-    for lender in nodes:
-        for group in pivotal_groups(net, lender, policy):
-            for member in group.pivotal:
-                i, j = index[lender], index[member]
-                share = net.weight(lender, member) / group.total
-                if values[i, j] == 0 or share > values[i, j]:
-                    values[i, j] = share
+    for lender, found in passes.items():
+        i = index[lender]
+        for member, w, total in zip(found.borrowers, found.weights, found.min_totals):
+            if total is not None:
+                values[i, index[member]] = w / total
     return InfluenceMatrix(nodes=nodes, values=values, variant="paths")
 
 
@@ -311,7 +317,12 @@ def lric_paths_matrices(
     score is the one :func:`best_graded_path` picks: each entry equals
     ``aggregate_paths(simple_paths(...), method, schema, s)`` bit for bit.
     """
-    c = influence_matrix(net, policy)
+    return _fold_chains(influence_matrix(net, policy), s, schema)
+
+
+def _fold_chains(
+    c: InfluenceMatrix, s: int | None, schema: GradeSchema | None
+) -> dict[str, InfluenceMatrix]:
     schema = schema or FIVE_LEVEL
     n = len(c.nodes)
     s_eff = n - 1 if s is None else s

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour (argument parsing through report bytes)."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,7 +11,16 @@ import pytest
 
 import lricnet
 from conftest import EX1_EDGES, write_edges_csv
-from lricnet import Absolute, AttributeShare, OutShareQuota, ingest_edges, kbi
+from lricnet import (
+    Absolute,
+    AttributeShare,
+    OutShareQuota,
+    ingest_edges,
+    kbi,
+    out_strength,
+    pivotal_groups,
+)
+from lricnet import groups as groups_module
 from lricnet.cli import emit_report, parse_policy, run
 
 
@@ -153,6 +163,51 @@ def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
     assert loud.stdout == quiet.stdout
     assert b"DEBUG lricnet.simulation: simulated 55 runs on 10 nodes: " in loud.stderr
     assert b"simulated" not in quiet.stderr
+
+
+KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matrices")
+
+
+def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, monkeypatch):
+    searched = []
+    search = groups_module._candidates
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(groups_module, "_candidates", counted)
+    code, _, _ = _run(capsys, "compute", "--edges", ex1_csv, *KBI_AND_PATH)
+    assert code == 0
+    lenders = [v for v in ex1.nodes if out_strength(ex1, v) != 0]
+    assert len(searched) == len(lenders) == 7
+
+
+def test_compute_logs_pivotal_pass(capsys, ex1, ex1_csv, quarter, caplog):
+    argv = ("compute", "--edges", ex1_csv, *KBI_AND_PATH)
+    _, quiet, _ = _run(capsys, *argv)
+    with caplog.at_level(logging.DEBUG, logger="lricnet.groups"):
+        code, loud, _ = _run(capsys, "-vv", *argv)
+    assert code == 0
+    assert loud == quiet
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "lricnet.groups"]
+    tallied = sum(len(pivotal_groups(ex1, v, quarter)) for v in ex1.nodes)
+    assert line == f"pivotal-group pass: 7 lenders visited, {tallied} pivotal groups tallied"
+
+
+@pytest.mark.parametrize("method", ["kbi", "maxpath", "kbi,maxpath"])
+def test_enumeration_cap_exits_2(capsys, tmp_path, method):
+    edges = [("L", f"b{i}", 1) for i in range(26)]
+    path = str(write_edges_csv(tmp_path / "wide.csv", edges))
+    code, out, err = _run(
+        capsys, "compute", "--edges", path, "--q", "out-share:0.5", "--method", method
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: lender 'L' has 26 borrowers; exhaustive enumeration is capped at 25 "
+        "(raise the cap or use the simulation index)\n"
+    )
 
 
 def test_matrix_csv_roundtrips(capsys, ex1_csv, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from lricnet import (
     Absolute,
     AttributeShare,
+    ExposureNetwork,
     OutShareQuota,
     in_strength,
     ingest_edges,
@@ -42,6 +43,13 @@ def test_ingest_rejects_negative_weight():
 def test_ingest_rejects_non_finite_weight(w):
     with pytest.raises(ValueError, match=r"non-finite weight in record \('a', 'b', "):
         ingest_edges([("a", "b", 1), ("a", "b", w)])
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_network_rejects_non_finite_weight(w):
+    # a library caller building the network directly, bypassing the readers
+    with pytest.raises(ValueError, match=r"non-finite weight on edge 'a'->'b'"):
+        ExposureNetwork(nodes=("a", "b", "c"), edges={("a", "b"): w, ("a", "c"): 1.0})
 
 
 def test_ingest_rejects_duplicates_summing_to_infinity():
