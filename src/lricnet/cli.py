@@ -216,8 +216,12 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
         if value is not None:
             settings[key] = value
     for key in ("s", "runs", "k0_max", "seed"):
-        if settings.get(key) is not None:
-            settings[key] = int(settings[key])
+        value = settings.get(key)
+        # bool is an int subclass, but `"k0_max": true` is no count
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if settings.get("s") is not None and settings["s"] < 1:
+        raise ValueError(f"s must be at least 1, got {settings['s']}")
     if settings.get("damping") is not None:
         settings["damping"] = float(settings["damping"])
     for key in ("no_net", "emit_matrices"):

@@ -8,13 +8,16 @@ default is attributed back to the initiators that caused it.  The estimated
 influence of j on i is the fraction of runs, among those seeding j but not
 i, in which j was credited for i's default.
 
-Attribution walks the default chain backwards: a defaulted lender is traced
-to the inclusion-minimal critical groups among its defaulted borrowers, and
-each group member contributes itself (if it was seeded and not redundant)
-or, recursively, its own attribution.  A seeded node is *redundant* when
-the remaining seeds would have defaulted it anyway; such a node is treated
-as an intermediate casualty, not a cause.  Initiators whose solo default
-suffices to sink the target are always credited.
+Attribution is reachability.  A cascaded lender's *support* is the union
+of the inclusion-minimal critical groups among its defaulted borrowers, and
+the lender is credited to every seed it reaches over support edges; the
+walk stops at seeds.  A seeded node is *redundant* when the remaining seeds
+would have defaulted it anyway; such a node is treated as an intermediate
+casualty, not a cause, and passes no credit on.  Initiators whose solo
+default suffices to sink the target are always credited.  Each node's solo
+cascade is run once and kept: it settles most redundancy checks, and
+without a stage cap a cascade of several seeds starts from the union of
+their solo closures.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -107,11 +111,23 @@ class _CascadeEngine:
     All sets are frozensets of node indices.  A cascade stage looks only at
     the surviving lenders of the nodes that defaulted in the stage before
     (the frontier), summing each one's defaulted shares left to right in
-    borrower index order; no other lender's loss can have grown.  A seed is
-    redundant if another seed's solo cascade already sinks it; only when no
-    seed does is the seed set re-cascaded without it.  Both shortcuts are
-    exact because the staged cascade is monotone in its seed set when no
-    share is negative.  The counters feed the debug line of `simulate`.
+    borrower index order; no other lender's loss can have grown.
+
+    When no share is negative the cascade is monotone in its seed set (and
+    so is the rounded left-to-right sum of non-negative shares), which
+    gives two exact shortcuts.  Without a stage cap, a multi-seed cascade
+    starts from the union of its seeds' cached solo closures, all of it the
+    first frontier: the least fixpoint containing that union is the one
+    containing the seeds.  And a seed is redundant if another seed's solo
+    cascade already sinks it; only when no seed does is the seed set
+    re-cascaded without it.  Only solo cascades are kept.
+
+    The credit a cascaded lender passes on is reachability: each lender's
+    *support* is the union of its inclusion-minimal groups among its
+    defaulted borrowers (cached per lender and defaulted borrower set), and
+    a lender is credited to the non-redundant seeds it reaches over support
+    edges, seeds being sinks.  The counters feed the debug line of
+    `simulate`.
     """
 
     def __init__(self, values: np.ndarray, stage_limit: int | None = None) -> None:
@@ -129,28 +145,35 @@ class _CascadeEngine:
             self._borrowers.append(frozenset(k for k, share in pairs if share > 0))
             for k in cols:
                 self._lenders[k].append(i)
-        # a negative share breaks monotonicity, and with it the solo witness
+        # a negative share breaks monotonicity, and with it both shortcuts;
+        # a stage cap breaks the first, as the union may be stages ahead
         self._monotone = not (values < 0).any()
-        self._defaulted: dict[frozenset[int], frozenset[int]] = {}
-        self._minimal_groups: dict[tuple[int, frozenset[int]], tuple[frozenset[int], ...]] = {}
+        self._from_solo = self._monotone and stage_limit is None
         self._solo: dict[int, frozenset[int]] = {}
+        self._support: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
         self.cascades = 0
         self.cache_hits = 0
         self.solo_witnesses = 0
+        self.support_hits = 0
+
+    def _fresh(self, d: set[int], frontier: Iterable[int]) -> set[int]:
+        """The surviving lenders of `frontier` whose defaulted shares reach 1."""
+        fresh = set()
+        for i in {i for k in frontier for i in self._lenders[k]} - d:
+            loss = 0.0
+            for k, share in self._shares[i]:
+                if k in d:
+                    loss += share
+            if loss >= 1 - TOL:
+                fresh.add(i)
+        return fresh
 
     def stages(self, initial: frozenset[int]) -> list[frozenset[int]]:
         d = set(initial)
-        frontier: frozenset[int] | set[int] = initial
+        frontier: Iterable[int] = initial
         stages: list[frozenset[int]] = []
         while self.stage_limit is None or len(stages) < self.stage_limit:
-            fresh = set()
-            for i in {i for k in frontier for i in self._lenders[k]} - d:
-                loss = 0.0
-                for k, share in self._shares[i]:
-                    if k in d:
-                        loss += share
-                if loss >= 1 - TOL:
-                    fresh.add(i)
+            fresh = self._fresh(d, frontier)
             if not fresh:
                 break
             stages.append(frozenset(fresh))
@@ -158,33 +181,39 @@ class _CascadeEngine:
             frontier = fresh
         return stages
 
-    def defaulted(self, initial: frozenset[int]) -> frozenset[int]:
-        cached = self._defaulted.get(initial)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
+    def _cascade(self, initial: frozenset[int]) -> frozenset[int]:
         self.cascades += 1
-        result = set(initial)
-        for stage in self.stages(initial):
-            result.update(stage)
-        cached = frozenset(result)
-        self._defaulted[initial] = cached
-        return cached
+        if not self._from_solo or len(initial) < 2:
+            return initial.union(*self.stages(initial))
+        d = set().union(*map(self.solo, initial))
+        frontier = d
+        while fresh := self._fresh(d, frontier):
+            d |= fresh
+            frontier = fresh
+        return frozenset(d)
+
+    def defaulted(self, initial: frozenset[int]) -> frozenset[int]:
+        if len(initial) == 1:
+            (j,) = initial
+            if j in self._solo:
+                self.cache_hits += 1
+            return self.solo(j)
+        return self._cascade(initial)
 
     def solo(self, j: int) -> frozenset[int]:
         """The nodes defaulted when `j` alone is seeded."""
         cached = self._solo.get(j)
         if cached is None:
-            cached = self._solo[j] = self.defaulted(frozenset({j}))
+            cached = self._solo[j] = self._cascade(frozenset({j}))
         return cached
 
-    def minimal_groups(
-        self, lender: int, present: frozenset[int]
-    ) -> tuple[frozenset[int], ...]:
-        """Inclusion-minimal subsets of `present` whose shares reach 1."""
+    def support(self, lender: int, present: frozenset[int]) -> frozenset[int]:
+        """The union of the inclusion-minimal subsets of `present` whose
+        shares reach 1."""
         key = (lender, present)
-        cached = self._minimal_groups.get(key)
+        cached = self._support.get(key)
         if cached is not None:
+            self.support_hits += 1
             return cached
         row = self.values[lender]
         members = sorted(k for k in present if row[k] > 0)
@@ -201,9 +230,8 @@ class _CascadeEngine:
                     continue
                 if sum(row[k] for k in combo) >= 1 - TOL:
                     minimal.append(group)
-        result = tuple(minimal)
-        self._minimal_groups[key] = result
-        return result
+        cached = self._support[key] = frozenset().union(*minimal)
+        return cached
 
     def _redundant(self, x: int, initial: frozenset[int]) -> bool:
         """Whether the seeds of `initial` other than `x` default `x` anyway."""
@@ -214,32 +242,41 @@ class _CascadeEngine:
                     return True
         return x in self.defaulted(initial - {x})
 
+    def reach(
+        self, initial: frozenset[int]
+    ) -> tuple[frozenset[int], dict[int, set[int]]]:
+        """The cascaded defaults of `initial`, and per non-redundant seed
+        the cascaded lenders that reach it over support edges."""
+        d = self.defaulted(initial)
+        cascaded = d - initial
+        if not cascaded:
+            return cascaded, {}
+        causes = [x for x in initial if not self._redundant(x, initial)]
+        if not causes:
+            return cascaded, {}
+        # support edges reversed: the cascaded lenders each node supports
+        backers: dict[int, list[int]] = {}
+        for i in cascaded:
+            for x in self.support(i, self._borrowers[i] & d):
+                backers.setdefault(x, []).append(i)
+        reached: dict[int, set[int]] = {}
+        for x in causes:
+            seen = reached[x] = set()
+            todo = [x]
+            while todo:
+                for i in backers.get(todo.pop(), ()):
+                    if i not in seen:
+                        seen.add(i)
+                        todo.append(i)
+        return cascaded, reached
+
     def attributions(self, initial: frozenset[int]) -> dict[int, frozenset[int]]:
         """Per cascaded default, the seeds credited with causing it."""
-        d = self.defaulted(initial)
-        redundant = {x for x in initial if self._redundant(x, initial)}
-        cascaded = sorted(d - initial)
-        attr: dict[int, frozenset[int]] = {i: frozenset() for i in cascaded}
-
-        def contribution(x: int) -> frozenset[int]:
-            if x in initial:
-                return frozenset() if x in redundant else frozenset({x})
-            return attr[x]
-
-        present = {i: self._borrowers[i] & d for i in cascaded}
-        changed = True
-        while changed:
-            changed = False
-            for i in cascaded:
-                credited: set[int] = set()
-                for group in self.minimal_groups(i, present[i]):
-                    for x in group:
-                        credited.update(contribution(x))
-                merged = frozenset(credited)
-                if merged != attr[i]:
-                    attr[i] = merged
-                    changed = True
-        return attr
+        cascaded, reached = self.reach(initial)
+        return {
+            i: frozenset(x for x, seen in reached.items() if i in seen)
+            for i in cascaded
+        }
 
 
 def cascade(
@@ -274,8 +311,8 @@ def pivotal_initiators(
     """The seeds credited with the default of `defaulted_node`.
 
     Union of the sufficiency channel (seeds whose solo cascade sinks the
-    node) and the attribution chain through minimal critical groups.  The
-    node must actually default under `initial`.
+    node) and the seeds the node reaches over support edges.  The node
+    must actually default under `initial`.
     """
     index = {v: k for k, v in enumerate(c.nodes)}
     if defaulted_node not in index:
@@ -284,15 +321,15 @@ def pivotal_initiators(
         seed_idx = frozenset(index[v] for v in initial)
     except KeyError as exc:
         raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    engine = _CascadeEngine(c.values, stage_limit=s)
     target = index[defaulted_node]
-    if target not in engine.defaulted(seed_idx):
+    if target in seed_idx:
+        return frozenset({defaulted_node})
+    engine = _CascadeEngine(c.values, stage_limit=s)
+    attr = engine.attributions(seed_idx)
+    if target not in attr:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"
         )
-    if target in seed_idx:
-        return frozenset({defaulted_node})
-    attr = engine.attributions(seed_idx)
     credited = {
         j
         for j in seed_idx
@@ -301,9 +338,11 @@ def pivotal_initiators(
     return frozenset(c.nodes[j] for j in credited)
 
 
-def _uniform_subset(rng: random.Random, n: int, k_max: int) -> frozenset[int]:
-    counts = [math.comb(n, k) for k in range(1, k_max + 1)]
-    total = sum(counts)
+def _uniform_subset(
+    rng: random.Random, n: int, counts: list[int], total: int
+) -> frozenset[int]:
+    """A draw from the nonempty subsets of range(n), `counts[k - 1]` of
+    them of size k, `total` in all, each equally likely."""
     r = rng.randrange(total)
     for k, count in enumerate(counts, start=1):
         if r < count:
@@ -341,8 +380,10 @@ def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]):
         for _ in range(plan.runs):
             yield _bernoulli_subset(rng, probs, k_max)
         return
+    counts = [math.comb(n, k) for k in range(1, k_max + 1)]
+    total = sum(counts)
     for _ in range(plan.runs):
-        yield _uniform_subset(rng, n, k_max)
+        yield _uniform_subset(rng, n, counts, total)
 
 
 def simulate(
@@ -362,7 +403,7 @@ def simulate(
     engine = _CascadeEngine(shares.values, stage_limit=s)
     # integer counts, converted once at the end; together[j][j] counts the
     # runs seeding j
-    credits = [[0] * n for _ in range(n)]
+    credits = [[0] * n for _ in range(n)]  # by seed, then lender
     together = [[0] * n for _ in range(n)]
     solo = [engine.solo(j) for j in range(n)]
     runs = 0
@@ -372,22 +413,27 @@ def simulate(
             row = together[i]
             for j in seed_set:
                 row[j] += 1
-        for i, credited_via_chain in engine.attributions(seed_set).items():
-            row = credits[i]
-            for j in seed_set:
-                if i in solo[j] or j in credited_via_chain:
-                    row[j] += 1
+        cascaded, reached = engine.reach(seed_set)
+        for j in seed_set:
+            credited = cascaded & solo[j]
+            if j in reached:
+                credited |= reached[j]
+            row = credits[j]
+            for i in credited:
+                row[i] += 1
     logger.debug(
         "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
-        "%d redundancy checks settled by a solo cascade",
+        "%d redundancy checks settled by a solo cascade, %d supports cached "
+        "for %d support-cache hits",
         runs, n, engine.cascades, engine.cache_hits, engine.solo_witnesses,
+        len(engine._support), engine.support_hits,
     )
     # reshape keeps an empty network's matrices 0 x 0
     paired = np.array(together, dtype=float).reshape(n, n)
     # runs seeding j without i
     sampled = np.diagonal(paired)[None, :] - paired
     with np.errstate(invalid="ignore"):
-        values = np.array(credits, dtype=float).reshape(n, n) / sampled
+        values = np.array(credits, dtype=float).reshape(n, n).T / sampled
     np.fill_diagonal(values, 0.0)
     return InfluenceMatrix(nodes=shares.nodes, values=values, variant="simulated")
 

@@ -246,6 +246,52 @@ def test_config_rejects_unknown_keys(capsys, ex1_csv, tmp_path):
     assert code == 2 and "unknown config keys" in err and "quota" in err
 
 
+@pytest.mark.parametrize(
+    "command, extra, value",
+    [
+        ("compute", ("--method", "maxpath,sim", "--seed", "1"), "0"),
+        ("compute", ("--method", "maxpath,sim", "--seed", "1"), "-1"),
+        ("cascade", ("--initial", "10"), "-1"),
+    ],
+)
+def test_stage_cap_below_one_exits_2(capsys, ex1_csv, command, extra, value):
+    code, out, err = _run(
+        capsys, command, "--edges", ex1_csv, "--q", "out-share:0.25", *extra,
+        "--s", value,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: s must be at least 1, got {value}\n"
+
+
+def test_config_stage_cap_below_one_exits_2(capsys, ex1_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"edges": ex1_csv, "q": "out-share:0.25", "method": "maxpath", "s": 0}),
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: s must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("runs", 2.7, "2.7"),
+        ("k0_max", True, "True"),
+        ("seed", "7", "'7'"),
+        ("s", 2.0, "2.0"),
+    ],
+)
+def test_config_rejects_non_integer_counts(capsys, ex1_csv, tmp_path, key, value, shown):
+    cfg = tmp_path / "cfg.json"
+    doc = {"edges": ex1_csv, "q": "out-share:0.25", "method": "sim", "seed": 1, key: value}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be an integer, got {shown}\n"
+
+
 def test_malformed_edges_report_line(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("from,to,weight\na,b,10\nb,c,lots\n", encoding="utf-8")

@@ -412,3 +412,62 @@ def test_simulate_logs_work_counters(ex1, quarter, caplog):
     assert "cascades" in line
     assert "cascade-cache hits" in line
     assert "redundancy checks settled by a solo cascade" in line
+
+
+def test_negative_share_keeps_seeds_out_of_the_solo_union():
+    # y alone sinks x, but with z also defaulted x's loss is 1 - 1 = 0; the
+    # union of the solo closures of y and z holds x, so a cascade started
+    # from it would default x
+    nodes = ("x", "y", "z")
+    values = np.array([
+        [0.0, 1.0, -1.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ])
+    c = InfluenceMatrix(nodes=nodes, values=values, variant="shares")
+    assert pivotal_initiators(c, "x", {"y"}) == frozenset({"y"})
+    with pytest.raises(ValueError, match="does not default"):
+        pivotal_initiators(c, "x", {"y", "z"})
+
+
+def test_redundant_seed_passes_no_credit():
+    # y and z together sink x (half each), so x is a redundant seed in
+    # {x, y, z}; L defaults on x alone.  Only x's solo cascade sinks L, so
+    # x is credited for L through it, and neither y nor z through x
+    net = ingest_edges([("x", "y", 1), ("x", "z", 1), ("L", "x", 2)])
+    c = share_matrix(net, Absolute({"x": 2, "L": 2}))
+    assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x"})
+    engine = _CascadeEngine(c.values)
+    index = {v: k for k, v in enumerate(c.nodes)}
+    attr = engine.attributions(frozenset(index[v] for v in ("x", "y", "z")))
+    assert attr == {index["L"]: frozenset()}
+
+
+def test_all_redundant_seeds_keep_solo_credit(quarter):
+    # x and y each sink the other, so both are redundant in {x, y}; L, which
+    # lends to x alone, still falls to either seed's solo cascade
+    net = ingest_edges([("x", "y", 1), ("y", "x", 1), ("L", "x", 1)])
+    c = share_matrix(net, quarter)
+    engine = _CascadeEngine(c.values)
+    index = {v: k for k, v in enumerate(c.nodes)}
+    assert engine.attributions(frozenset({index["x"], index["y"]})) == {
+        index["L"]: frozenset()
+    }
+    assert pivotal_initiators(c, "L", {"x", "y"}) == frozenset({"x", "y"})
+    matrix = simulate(net, quarter, SimulationPlan(mode="exhaustive", k0_max=2))
+    # {x} and {x, y} both credit x, {y} and {x, y} both credit y
+    assert matrix.entry("L", "x") == matrix.entry("L", "y") == 1.0
+
+
+def test_attribution_enumeration_cap():
+    # every one of L's 26 borrowers is seeded, and L's minimal groups would
+    # be enumerated over all of them
+    net = ingest_edges([("L", f"b{k}", 1) for k in range(26)])
+    c = share_matrix(net, Absolute({"L": 20}))
+    seeds = {f"b{k}" for k in range(26)}
+    with pytest.raises(
+        ValueError,
+        match="attribution for a lender with 26 defaulted borrowers exceeds "
+        "the enumeration cap 25",
+    ):
+        pivotal_initiators(c, "L", seeds)
