@@ -41,8 +41,7 @@ class CentralityTable:
 
 
 def _adjacency(net: ExposureNetwork) -> tuple[list[str], np.ndarray]:
-    nodes = list(net.nodes)
-    index = {v: k for k, v in enumerate(nodes)}
+    nodes, index = list(net.nodes), net.index
     a = np.zeros((len(nodes), len(nodes)))
     for (src, dst), w in net.edges.items():
         a[index[src], index[dst]] = w
@@ -86,8 +85,7 @@ def closeness(net: ExposureNetwork, direction: str = "out") -> dict[str, float]:
     """
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    nodes = list(net.nodes)
-    index = {v: k for k, v in enumerate(nodes)}
+    nodes, index = list(net.nodes), net.index
     n = len(nodes)
     if n <= 1:
         return {v: 0.0 for v in nodes}
@@ -124,8 +122,7 @@ def betweenness(net: ExposureNetwork) -> dict[str, float]:
     among those, only the ones of maximal total edge weight count, sharing
     one unit of credit across their interior nodes.
     """
-    nodes = list(net.nodes)
-    index = {v: k for k, v in enumerate(nodes)}
+    nodes, index = list(net.nodes), net.index
     n = len(nodes)
     adj: dict[int, list[int]] = {}
     wgt: dict[tuple[int, int], float] = {}

@@ -18,7 +18,6 @@ path methods last, all from one pass that folds the chains for all five at once.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import logging
@@ -38,6 +37,8 @@ from .network import (
     ExposureNetwork,
     OutShareQuota,
     ThresholdPolicy,
+    _csv_float,
+    _csv_rows,
     ingest_edges,
     net_mutual_exposures,
     node_sort_key,
@@ -57,8 +58,9 @@ from .paths import (
 from .ranking import comparison_matrix, gk_gamma, kendall_tau, rank
 from .simulation import (
     SimulationPlan,
+    _CascadeEngine,
+    _credits,
     cascade,
-    pivotal_initiators,
     share_matrix,
     simulate,
     vector_from_simulation,
@@ -138,30 +140,16 @@ def _parse_fraction(raw: str, context: str) -> float:
 
 
 def _read_quota_csv(path: str) -> dict[str, float]:
+    rows = _csv_rows(path, "node,q", lambda h: h == ["node", "q"])
+    next(rows)
     quotas: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header node,q") from None
-        if header != ["node", "q"]:
-            raise ValueError(f"{path}: line 1: expected header node,q")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            node = row[0].strip()
-            if node in quotas:
-                raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
-            try:
-                q = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad threshold {row[1]!r}") from None
-            if not math.isfinite(q):
-                raise ValueError(f"{path}: line {lineno}: non-finite threshold {row[1]!r}")
-            quotas[node] = q
+    for lineno, row in rows:
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        node = row[0].strip()
+        if node in quotas:
+            raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
+        quotas[node] = _csv_float(path, lineno, row[1], "threshold")
     return quotas
 
 
@@ -225,8 +213,8 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
     if settings.get("damping") is not None:
         settings["damping"] = float(settings["damping"])
     for key in ("no_net", "emit_matrices"):
-        if key in settings:
-            settings[key] = bool(settings[key])
+        if key in settings and not isinstance(settings[key], bool):
+            raise ValueError(f"{key} must be true or false, got {settings[key]!r}")
     return settings
 
 
@@ -431,34 +419,25 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
     for stage_no, stage in enumerate(trace.stages, start=1):
         print(f"stage {stage_no}: {_format_nodes(stage)}")
     print(f"defaulted: {_format_nodes(trace.defaulted)}")
+    engine = _CascadeEngine(shares.values, stage_limit=settings["s"])
+    credits = _credits(engine, frozenset(net.index[v] for v in initial))
     for node in sorted(trace.defaulted - trace.initial, key=node_sort_key):
-        causes = pivotal_initiators(shares, node, initial, settings["s"])
+        causes = (net.nodes[j] for j in credits[net.index[node]])
         print(f"pivotal for {node}: {_format_nodes(causes)}")
     return 0
 
 
 def _read_scores_csv(path: str) -> dict[str, float]:
+    rows = _csv_rows(path, "node,score,...", lambda h: h[:2] == ["node", "score"])
+    next(rows)
     scores: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header node,score,...") from None
-        if len(header) < 2 or header[0] != "node" or header[1] != "score":
-            raise ValueError(f"{path}: line 1: expected header node,score,...")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected at least 2 fields")
-            node = row[0].strip()
-            if node in scores:
-                raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
-            try:
-                scores[node] = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad score {row[1]!r}") from None
+    for lineno, row in rows:
+        if len(row) < 2:
+            raise ValueError(f"{path}: line {lineno}: expected at least 2 fields")
+        node = row[0].strip()
+        if node in scores:
+            raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
+        scores[node] = _csv_float(path, lineno, row[1], "score")
     if not scores:
         raise ValueError(f"{path}: no score rows")
     return scores

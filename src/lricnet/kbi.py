@@ -79,13 +79,12 @@ def kbi_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, dict[st
 
 def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> dict[str, float]:
     """Aggregate index from per-lender rows, weighted by lending volume."""
-    strengths = {v: out_strength(net, v) for v in net.nodes}
-    grand_total = sum(strengths.values())
+    grand_total = sum(net.out_strengths.values())
     scores = {v: 0.0 for v in net.nodes}
     if grand_total == 0:
         return scores
     for lender, row in rows.items():
-        weight = strengths[lender] / grand_total
+        weight = net.out_strengths[lender] / grand_total
         for borrower, value in row.items():
             scores[borrower] += weight * value
     return scores
@@ -94,11 +93,10 @@ def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> di
 def kbi_matrix(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> np.ndarray:
     """Per-lender rows as a matrix over ``net.nodes``: entry (L, B) is B's score
     for lender L; zero rows for nodes that do not lend."""
-    index = {v: k for k, v in enumerate(net.nodes)}
     values = np.zeros((len(net.nodes), len(net.nodes)))
     for lender, row in rows.items():
         for borrower, share in row.items():
-            values[index[lender], index[borrower]] = share
+            values[net.index[lender], net.index[borrower]] = share
     return values
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -35,30 +36,49 @@ class ExposureNetwork:
         nodes (e.g. ones that appear only in an attribute file).
     edges:
         Map ``(lender, borrower) -> weight``; weights are strictly positive,
-        a missing key means no exposure.
+        a missing key means no exposure.  Read-only: the views below are
+        derived from it once, so it must not be mutated after construction.
     attributes:
         Map ``attribute name -> {node -> value}``.  Values are nonnegative;
         a node absent from the inner map has no value for that attribute.
 
-    ``node_set`` is ``frozenset(nodes)``, built once.
+    Built once with the network: ``index`` maps each node to its position
+    in ``nodes``, ``out_strengths`` / ``in_strengths`` hold each node's total
+    lending and borrowing, summed in ``edges`` order, and each lender's
+    borrowers are sorted for :meth:`borrowers_of`.
     """
 
     nodes: tuple[str, ...]
     edges: dict[tuple[str, str], float]
     attributes: dict[str, dict[str, float]] = field(default_factory=dict)
-    node_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    out_strengths: dict[str, float] = field(init=False, repr=False, compare=False)
+    in_strengths: dict[str, float] = field(init=False, repr=False, compare=False)
+    _borrowers: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_set", frozenset(self.nodes))
-        for (a, b), w in self.edges.items():
+        edges = self.edges
+        borrowers: dict[str, list[str]] = {v: [] for v in self.nodes}
+        lenders: dict[str, list[str]] = {v: [] for v in self.nodes}
+        for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight on edge {a!r}->{b!r}: {w}")
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge {a!r}->{b!r}: {w}")
-            if a not in self.node_set or b not in self.node_set:
+            if a not in borrowers or b not in borrowers:
                 raise ValueError(f"edge {a!r}->{b!r} references unknown node")
+            borrowers[a].append(b)
+            lenders[b].append(a)
+        # sum() in edges order, so each total is the float a scan of edges gives
+        outs = {a: sum([edges[a, b] for b in bs]) for a, bs in borrowers.items()}
+        ins = {b: sum([edges[a, b] for a in ls]) for b, ls in lenders.items()}
+        ordered = {a: tuple(sorted(bs, key=node_sort_key)) for a, bs in borrowers.items()}
+        object.__setattr__(self, "index", {v: k for k, v in enumerate(self.nodes)})
+        object.__setattr__(self, "out_strengths", outs)
+        object.__setattr__(self, "in_strengths", ins)
+        object.__setattr__(self, "_borrowers", ordered)
 
     def weight(self, lender: str, borrower: str) -> float:
         """Exposure of `lender` to `borrower`; 0.0 when there is no edge."""
@@ -66,12 +86,7 @@ class ExposureNetwork:
 
     def borrowers_of(self, lender: str) -> tuple[str, ...]:
         """Direct borrowers of `lender`, in node order."""
-        found = [b for (a, b) in self.edges if a == lender]
-        return tuple(sorted(found, key=node_sort_key))
-
-    def lenders_of(self, borrower: str) -> tuple[str, ...]:
-        found = [a for (a, b) in self.edges if b == borrower]
-        return tuple(sorted(found, key=node_sort_key))
+        return self._borrowers.get(lender, ())
 
     def attribute(self, name: str, node: str) -> float | None:
         return self.attributes.get(name, {}).get(node)
@@ -164,16 +179,18 @@ def net_mutual_exposures(net: ExposureNetwork) -> ExposureNetwork:
 
 def out_strength(net: ExposureNetwork, node: str) -> float:
     """Total lending of `node` (sum of outgoing weights)."""
-    if node not in net.node_set:
-        raise ValueError(f"unknown node {node!r}")
-    return sum(w for (a, _), w in net.edges.items() if a == node)
+    try:
+        return net.out_strengths[node]
+    except KeyError:
+        raise ValueError(f"unknown node {node!r}") from None
 
 
 def in_strength(net: ExposureNetwork, node: str) -> float:
     """Total borrowing of `node` (sum of incoming weights)."""
-    if node not in net.node_set:
-        raise ValueError(f"unknown node {node!r}")
-    return sum(w for (_, b), w in net.edges.items() if b == node)
+    try:
+        return net.in_strengths[node]
+    except KeyError:
+        raise ValueError(f"unknown node {node!r}") from None
 
 
 def threshold(net: ExposureNetwork, policy: ThresholdPolicy, node: str) -> float | None:
@@ -218,34 +235,60 @@ def normalize_by_attribute(net: ExposureNetwork, attribute: str) -> ExposureNetw
     return ExposureNetwork(nodes=net.nodes, edges=edges, attributes=net.attributes)
 
 
+def _csv_rows(
+    path: str, expected: str, header_ok: Callable[[list[str]], bool]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(1, header)``, cells stripped, then ``(line number, fields)``
+    for each non-blank row of a UTF-8 CSV file.  An empty file, a header
+    `header_ok` refuses (`expected` describes the right one) and a row the
+    csv module cannot parse raise ValueError naming the path and line."""
+    lineno = 1  # of the row being read
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header {expected}")
+            header = [h.strip() for h in header]
+            if not header_ok(header):
+                raise ValueError(f"{path}: line 1: expected header {expected}")
+            yield 1, header
+            lineno = 2
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield lineno, row
+                lineno += 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def _csv_float(path: str, lineno: int, raw: str, what: str) -> float:
+    """`raw` as a finite float; ValueError naming the line and `what` otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: bad {what} {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {lineno}: non-finite {what} {raw!r}")
+    return value
+
+
 def read_edges_csv(path: str) -> list[tuple[str, str, float]]:
     """Read an edge list CSV with header ``from,to,weight``.
 
     Raises ValueError naming the 1-based line number of the first malformed
     row (header included in the count).
     """
+    rows = _csv_rows(path, "from,to,weight", lambda h: h == ["from", "to", "weight"])
+    next(rows)
     records: list[tuple[str, str, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header from,to,weight")
-        if [h.strip() for h in header] != ["from", "to", "weight"]:
-            raise ValueError(f"{path}: line 1: expected header from,to,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            src, dst, raw = (f.strip() for f in row)
-            try:
-                w = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad weight {raw!r}") from None
-            if not math.isfinite(w):
-                raise ValueError(f"{path}: line {lineno}: non-finite weight {raw!r}")
-            records.append((src, dst, w))
+    for lineno, row in rows:
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        src, dst, raw = (f.strip() for f in row)
+        records.append((src, dst, _csv_float(path, lineno, raw, "weight")))
     return records
 
 
@@ -255,41 +298,22 @@ def read_attributes_csv(path: str) -> dict[str, dict[str, float]]:
     Empty cells mean "no value".  Duplicate node rows and non-finite values
     are rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header node,<attr>,...")
-        if not header or header[0] != "node" or len(header) < 2:
-            raise ValueError(f"{path}: line 1: expected header node,<attr>,...")
-        names = header[1:]
-        attributes: dict[str, dict[str, float]] = {name: {} for name in names}
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            node = row[0].strip()
-            if node in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
-            seen.add(node)
-            for name, cell in zip(names, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: bad {name} value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-finite {name} value {cell!r}"
-                    )
-                attributes[name][node] = value
+    rows = _csv_rows(path, "node,<attr>,...", lambda h: len(h) >= 2 and h[0] == "node")
+    _, header = next(rows)
+    names = header[1:]
+    attributes: dict[str, dict[str, float]] = {name: {} for name in names}
+    seen: set[str] = set()
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        node = row[0].strip()
+        if node in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
+        seen.add(node)
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if cell:
+                attributes[name][node] = _csv_float(path, lineno, cell, f"{name} value")
     return attributes

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _lender_passes, _LenderPass
-from .network import ExposureNetwork, ThresholdPolicy, node_sort_key, out_strength
+from .network import ExposureNetwork, ThresholdPolicy, node_sort_key
 
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
 
@@ -159,8 +159,7 @@ def _influence_from_passes(
 ) -> InfluenceMatrix:
     # w / min(total) is the largest w / total: division by a positive
     # divisor is monotone in IEEE arithmetic
-    nodes = net.nodes
-    index = {v: k for k, v in enumerate(nodes)}
+    nodes, index = net.nodes, net.index
     values = np.zeros((len(nodes), len(nodes)))
     for lender, found in passes.items():
         i = index[lender]
@@ -412,7 +411,7 @@ def lric_paths_vector(
 
 def weighted_vector(net: ExposureNetwork, matrix: InfluenceMatrix) -> dict[str, float]:
     """Lending-volume-weighted aggregation of an influence matrix into scores."""
-    strengths = np.array([out_strength(net, v) for v in matrix.nodes])
+    strengths = np.array([net.out_strengths[v] for v in matrix.nodes])
     total = strengths.sum()
     if total == 0:
         return {v: 0.0 for v in matrix.nodes}

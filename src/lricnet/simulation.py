@@ -93,8 +93,7 @@ def share_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatr
     Rows of nodes with no outgoing exposure are zero: they have no threshold
     and cannot cascade-default.
     """
-    nodes = net.nodes
-    index = {v: k for k, v in enumerate(nodes)}
+    nodes, index = net.nodes, net.index
     values = np.zeros((len(nodes), len(nodes)))
     quotas = {v: threshold(net, policy, v) for v in nodes}
     for (lender, borrower), w in net.edges.items():
@@ -324,18 +323,21 @@ def pivotal_initiators(
     target = index[defaulted_node]
     if target in seed_idx:
         return frozenset({defaulted_node})
-    engine = _CascadeEngine(c.values, stage_limit=s)
-    attr = engine.attributions(seed_idx)
-    if target not in attr:
+    credits = _credits(_CascadeEngine(c.values, stage_limit=s), seed_idx)
+    if target not in credits:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"
         )
-    credited = {
-        j
-        for j in seed_idx
-        if target in engine.solo(j) or j in attr[target]
+    return frozenset(c.nodes[j] for j in credits[target])
+
+
+def _credits(engine: _CascadeEngine, initial: frozenset[int]) -> dict[int, frozenset[int]]:
+    """Per cascaded default of `initial`, the seeds credited with it: those
+    whose solo cascade sinks it and those it reaches over support edges."""
+    return {
+        i: frozenset(j for j in initial if i in engine.solo(j) or j in seeds)
+        for i, seeds in engine.attributions(initial).items()
     }
-    return frozenset(c.nodes[j] for j in credited)
 
 
 def _uniform_subset(

@@ -484,3 +484,86 @@ def test_compare_rejects_bad_score_file(capsys, tmp_path):
     good = _score_file(tmp_path / "good.csv", {"a": 1.0, "b": 2.0})
     code, _, err = _run(capsys, "compare", "--rankings", str(bad), good)
     assert code == 2 and "line 3" in err and "duplicate node" in err
+
+
+def _oversized_field(tmp_path, name, header, row):
+    path = tmp_path / name
+    path.write_text(f"{header}\n{row}\n" + "x" * 200_000 + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_oversized_edges_field_exits_2_with_line(capsys, tmp_path):
+    path = _oversized_field(tmp_path, "big.csv", "from,to,weight", "a,b,1")
+    code, out, err = _run(capsys, "compute", "--edges", path, "--method", "in-degree")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: line 3: field larger than field limit")
+
+
+def test_oversized_quota_field_exits_2_with_line(capsys, ex1_csv, tmp_path):
+    path = _oversized_field(tmp_path, "q.csv", "node,q", "1,10")
+    code, out, err = _run(
+        capsys, "compute", "--edges", ex1_csv, "--q", f"abs:{path}", "--method", "kbi"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: line 3: field larger than field limit")
+
+
+@pytest.mark.parametrize("nan_line", [2, 3])
+def test_compare_rejects_non_finite_score(capsys, tmp_path, nan_line):
+    rows = ["a,1.0", "c,0.5"]
+    rows.insert(nan_line - 2, "b,nan")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("node,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    good = _score_file(tmp_path / "good.csv", {"a": 3.0, "b": 2.0, "c": 1.0})
+    code, out, err = _run(capsys, "compare", "--rankings", str(bad), good)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line {nan_line}: non-finite score 'nan'\n"
+
+
+@pytest.mark.parametrize("key", ["no_net", "emit_matrices"])
+@pytest.mark.parametrize("value, shown", [("false", "'false'"), (1, "1"), ("yes", "'yes'")])
+def test_config_rejects_non_boolean_flags(capsys, ex1_csv, tmp_path, key, value, shown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"edges": ex1_csv, "method": "out-degree", key: value}), encoding="utf-8"
+    )
+    code, out, err = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be true or false, got {shown}\n"
+
+
+def test_config_false_keeps_netting_on(capsys, tmp_path):
+    edges = tmp_path / "m.csv"
+    edges.write_text("from,to,weight\na,b,10\nb,a,4\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"edges": str(edges), "method": "out-degree", "no_net": False}),
+        encoding="utf-8",
+    )
+    code, out, _ = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 0
+    assert out == "# out-degree\nnode,score,rank\na,6.000000,1\nb,0.000000,2\n"
+
+
+@pytest.mark.parametrize("length", [3, 9])
+def test_cascade_builds_engines_independent_of_defaults(capsys, tmp_path, monkeypatch, length):
+    # node k lends only to k + 1, so seeding the last node sinks every other
+    from lricnet.simulation import _CascadeEngine
+
+    built = []
+    init = _CascadeEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CascadeEngine, "__init__", counting)
+    edges = [(str(k), str(k + 1), 1) for k in range(length)]
+    path = str(write_edges_csv(tmp_path / "chain.csv", edges))
+    code, out, err = _run(
+        capsys, "cascade", "--edges", path, "--q", "out-share:0.25", "--initial", str(length)
+    )
+    assert code == 0, err
+    assert out.count("pivotal for") == length
+    # one engine stages the cascade and one credits every default
+    assert len(built) == 2

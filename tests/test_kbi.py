@@ -11,6 +11,7 @@ and 8 are pivotal only in {7,8}, each alpha = (200/1100) / 2.
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,16 @@ from pathlib import Path
 import pytest
 
 import lricnet
-from lricnet import direct_intensity, indirect_intensity, ingest_edges, kbi, kbi_for_lender
+from lricnet import (
+    ExposureNetwork,
+    OutShareQuota,
+    direct_intensity,
+    indirect_intensity,
+    ingest_edges,
+    kbi,
+    kbi_for_lender,
+    node_sort_key,
+)
 
 EX1_PER_LENDER = {
     "1": {"2": 0.556, "3": 0.0, "5": 0.444},
@@ -148,3 +158,45 @@ def test_kbi_for_lender_does_not_depend_on_hash_seed():
         )
         outputs.add(done.stdout.strip())
     assert len(outputs) == 1, outputs
+
+
+class _ScanCountingEdges(dict):
+    """An edge dict that counts the full scans made over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def _counted_net(n):
+    rng = random.Random(n)
+    edges = _ScanCountingEdges()
+    for a in range(n):
+        for b in rng.sample([v for v in range(n) if v != a], 4):
+            edges[(str(a), str(b))] = rng.uniform(1, 100)
+    nodes = tuple(sorted(map(str, range(n)), key=node_sort_key))
+    return ExposureNetwork(nodes=nodes, edges=edges), edges
+
+
+def test_kbi_scans_edges_a_fixed_number_of_times():
+    scans = []
+    for n in (50, 400):
+        net, edges = _counted_net(n)
+        edges.scans = 0
+        kbi(net, OutShareQuota(0.25))
+        scans.append(edges.scans)
+    assert scans[0] == scans[1], scans

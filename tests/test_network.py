@@ -1,6 +1,7 @@
 """Construction, netting, strengths, thresholds, CSV ingestion."""
 
 import math
+import random
 
 import pytest
 
@@ -219,3 +220,24 @@ def test_read_attributes_csv_duplicate_node(tmp_path):
     p = _write(tmp_path / "a.csv", "node,gdp\na,1\na,2\n")
     with pytest.raises(ValueError, match="line 3"):
         read_attributes_csv(p)
+
+
+def test_views_equal_edge_scans():
+    # "1" and "01" tie under node_sort_key, so their order is the edges order
+    rng = random.Random(5)
+    ids = ["1", "01", "2", "10", "a", "b", "x"]
+    for _ in range(50):
+        edges = {}
+        for a in ids:
+            for b in rng.sample(ids, 4):
+                if a != b:
+                    edges[(a, b)] = rng.choice([0.1, 0.2, 0.3, 1e-9, 7.0, rng.uniform(0, 1e6)])
+        net = ExposureNetwork(nodes=tuple(sorted(ids, key=node_sort_key)), edges=edges)
+        assert net.index == {v: k for k, v in enumerate(net.nodes)}
+        for v in ids:
+            # bit-equal to the left-to-right sum in edges order
+            assert out_strength(net, v) == sum(w for (a, _), w in edges.items() if a == v)
+            assert in_strength(net, v) == sum(w for (_, b), w in edges.items() if b == v)
+            scanned = [b for (a, b) in edges if a == v]
+            assert net.borrowers_of(v) == tuple(sorted(scanned, key=node_sort_key))
+        assert net.borrowers_of("unknown") == ()
