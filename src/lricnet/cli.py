@@ -39,6 +39,7 @@ from .network import (
     ThresholdPolicy,
     _csv_float,
     _csv_rows,
+    _read_json,
     ingest_edges,
     net_mutual_exposures,
     node_sort_key,
@@ -181,11 +182,7 @@ def _method_list(text: str) -> list[str]:
 
 
 def _load_config(path: str, allowed: set[str]) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - allowed)
@@ -249,8 +246,8 @@ def emit_report(scores: Mapping[str, float], fmt: str = "csv") -> bytes:
 
 def _matrix_csv(nodes: Sequence[str], values: np.ndarray) -> bytes:
     lines = ["node," + ",".join(nodes)]
-    for i, node in enumerate(nodes):
-        cells = ",".join(f"{values[i, j]:.6f}" for j in range(len(nodes)))
+    for node, row in zip(nodes, values.tolist()):
+        cells = ",".join([f"{value:.6f}" for value in row])
         lines.append(f"{node},{cells}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -9,9 +9,15 @@ path-based influence matrix.
 
 from __future__ import annotations
 
+import functools
 import logging
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
+
+import numpy as np
 
 from .network import ExposureNetwork, ThresholdPolicy, out_strength, threshold
 
@@ -71,58 +77,136 @@ def pivotal_members(
     )
 
 
-def _candidates(
-    weights: list[float], floor: float, pivotal_only: bool
-) -> list[list[tuple[int, ...]]]:
-    """Index sets that may be critical (and, with `pivotal_only`, may have a
-    pivotal member), found by a depth-first search.  Entry k of the result
-    lists those of size k, each as a tuple in index order.
+# A lender's last BLOCK_BITS borrowers form a block: the 2^BLOCK_BITS subsets
+# of it that extend one set of earlier borrowers are enumerated together.
+BLOCK_BITS = 12
 
-    The search adds borrowers in descending weight, ties in index order, so
-    the first member of a set is its largest.  It cuts a branch when (a) the
-    weight not yet visited cannot lift the total to `floor`, or, with
-    `pivotal_only`, when (b) the total without the first member already
-    reaches `floor`: then no member of the set or of any set the branch
-    extends it to is pivotal.  Both cuts give way by `slack`, which exceeds
-    the rounding of any float sum here, so that they never drop a set the
-    exact test in node order would keep.
+
+@functools.cache
+def _block_layout(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    # Block borrower t is bit bits-1-t of a subset's position, so among the
+    # subsets of one size descending positions are lexicographic order.
+    # `order` lists the positions by size, then descending, and the subsets
+    # of size c start at offsets[c] in it.  `sizes` and `members` follow
+    # `order`; row 2 + t of `members` marks the subsets holding block
+    # borrower t, row 0 none and row 1 all (the rows of earlier borrowers).
+    width = 1 << bits
+    sizes = np.zeros(width)
+    for t in range(bits):
+        step = width >> (t + 1)
+        sizes[step :: 2 * step] = sizes[:: 2 * step] + 1.0
+    order = np.empty(width, dtype=np.intp)
+    offsets = [0]
+    for size in range(bits + 1):
+        at = np.flatnonzero(sizes == size)[::-1]
+        order[offsets[-1] : offsets[-1] + len(at)] = at
+        offsets.append(offsets[-1] + len(at))
+    members = np.empty((bits + 2, width), dtype=bool)
+    members[0] = False
+    members[1] = True
+    for t in range(bits):
+        step = width >> (t + 1)
+        inside = np.zeros(width)
+        inside.reshape(-1, 2 * step)[:, step:] = 1.0
+        np.greater(inside.take(order), 0.0, out=members[2 + t])
+    return order, sizes.take(order), members, offsets
+
+
+def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[tuple]:
+    """Groups of the borrowers with loans `weights` (node order) whose total
+    reaches `floor`; with `pivotal_only`, those with a pivotal member.
+
+    Yields one block per prefix, a set of borrowers before the last
+    BLOCK_BITS: ``(prefix size, bounds, (totals, sizes, members, pivotal))``
+    over the prefix's groups by size, then in lexicographic order.  Those of
+    size prefix size + c are columns ``bounds[c]:bounds[c + 1]``; `members`
+    and `pivotal` have a row per borrower.  Totals add the members' loans in
+    index order, one after another, as ``sum()`` over them does.
+
+    Prefixes come from a depth-first search that skips one when (a) all the
+    borrowers after it cannot lift its total to `floor`, or, with
+    `pivotal_only`, when (b) its total without its largest member already
+    reaches `floor`: then no extension has a pivotal member.  Both cuts
+    give way by `slack`, which exceeds the rounding of any float sum here.
+    A prefix's block follows the blocks of its extensions, which keeps
+    every size in lexicographic order across blocks.
     """
     n = len(weights)
-    order = sorted(range(n), key=lambda i: (-weights[i], i))
-    ws = [weights[i] for i in order]
-    suffix = [0.0] * (n + 1)
+    start = max(n - BLOCK_BITS, 0)
+    order, layout_sizes, layout_members, offsets = _block_layout(n - start)
+    rest = [0.0] * (n + 1)  # rest[k]: the loans of borrowers k.. summed
     for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + ws[k]
-    slack = (n + 1) * (suffix[0] + abs(floor)) * 2.0**-49
+        rest[k] = rest[k + 1] + weights[k]
+    slack = (n + 1) * (rest[0] + abs(floor)) * 2.0**-49
     reach, spill = floor - slack, floor + slack
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     if pivotal_only and spill <= 0:
-        return by_size  # cut (b) already holds for every single borrower
-    chosen: list[int] = []
+        return  # cut (b) already holds for every single borrower
+    loans = np.array(weights)[:, None]
+    steps = [(len(order) >> (t + 1), w) for t, w in enumerate(weights[start:])]
+    tops = np.zeros(len(order))  # each subset's largest loan, by position
+    for step, loan in steps:
+        below = tops[:: 2 * step]
+        tops[step :: 2 * step] = np.where(below > loan, below, loan)
+    tops = tops.take(order)
+    block_rows = list(range(2, 2 + n - start))
+    prefix: list[int] = []
 
-    def extend(start: int, partial: float, rest: float) -> None:
-        size = len(chosen) + 1
-        for j in range(start, n):
-            if partial + suffix[j] < reach:
-                return
-            rest_j = rest + ws[j]
-            if pivotal_only and rest_j >= spill:
+    def block(total: float, top: float) -> tuple | None:
+        sums = np.empty(len(order))  # each group's total, by position
+        sums[0] = total
+        for step, loan in steps:  # the highest index of a group comes last
+            np.add(sums[:: 2 * step], loan, out=sums[step :: 2 * step])
+        totals = sums.take(order)
+        if not prefix:
+            totals[0] = -np.inf  # the empty set is not a group
+        cols = np.flatnonzero(totals >= floor)
+        if pivotal_only:
+            # a member is pivotal iff the largest one is: x - w falls as w grows
+            largest = tops.take(cols)
+            largest = np.where(largest > top, largest, top)
+            cols = cols.take(np.flatnonzero(totals.take(cols) - largest < floor))
+        if not len(cols):
+            return None
+        totals = totals.take(cols)
+        chosen = set(prefix)
+        rows = [int(k in chosen) for k in range(start)] + block_rows
+        members = layout_members.take(cols, axis=1).take(rows, axis=0)
+        # a non-member leaves the total, which reaches the floor, as it is
+        rests = np.where(members, loans, 0.0)
+        pivotal = np.subtract(totals, rests, out=rests) < floor
+        listed = cols.tolist()
+        sizes = layout_sizes.take(cols) + len(prefix)
+        bounds = [bisect_left(listed, offset) for offset in offsets]
+        return len(prefix), bounds, (totals, sizes, members, pivotal)
+
+    def walk(first: int, total: float, largest: float) -> Iterator[tuple]:
+        for k in range(first, start):
+            if total + rest[k] < reach:
+                break
+            grown, top = total + weights[k], max(largest, weights[k])
+            if pivotal_only and grown - top >= spill:
                 continue
-            chosen.append(order[j])
-            if partial + ws[j] >= reach:
-                by_size[size].append(tuple(sorted(chosen)))
-            extend(j + 1, partial + ws[j], rest_j)
-            chosen.pop()
+            prefix.append(k)
+            yield from walk(k + 1, grown, top)
+            prefix.pop()
+        if total + rest[start] >= reach:
+            found = block(total, largest)
+            if found is not None:
+                yield found
 
-    for first in range(n):
-        if suffix[first] < reach:
-            break
-        chosen.append(order[first])
-        if ws[first] >= reach:
-            by_size[1].append((order[first],))
-        extend(first + 1, ws[first], 0.0)
-        chosen.pop()
-    return by_size
+    yield from walk(0, 0.0, 0.0)
+
+
+def _in_size_order(parts: Iterable[tuple], n: int) -> Iterator[tuple]:
+    """``(payload, a, b)`` for each ``(prefix size, bounds, payload)`` part
+    and each of its group sizes: by size, then in part order."""
+    by_size: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for size, bounds, payload in parts:
+        for c in range(len(bounds) - 1):
+            if bounds[c] < bounds[c + 1]:
+                by_size[size + c].append((payload, bounds[c], bounds[c + 1]))
+    for chunks in by_size:
+        yield from chunks
 
 
 def _search_input(
@@ -155,23 +239,17 @@ def _enumerate(
         return []
     borrowers, weights, floor = found
     groups: list[CriticalGroup] = []
-    for candidates in _candidates(weights, floor, pivotal_only):
-        candidates.sort()  # node order within each size, the documented order
-        for combo in candidates:
-            total = sum([weights[i] for i in combo])
-            if total < floor:
-                continue
-            pivotal = frozenset(
-                [borrowers[i] for i in combo if total - weights[i] < floor]
-            )
-            if pivotal_only and not pivotal:
-                continue
+    blocks = _blocks(weights, floor, pivotal_only)
+    for (totals, _, members, pivotal), a, b in _in_size_order(blocks, len(borrowers)):
+        for total, inside, pivots in zip(
+            totals[a:b].tolist(), members[:, a:b].T.tolist(), pivotal[:, a:b].T.tolist()
+        ):
             groups.append(
                 CriticalGroup(
                     lender=lender,
-                    members=frozenset([borrowers[i] for i in combo]),
+                    members=frozenset(compress(borrowers, inside)),
                     total=total,
-                    pivotal=pivotal,
+                    pivotal=frozenset(compress(borrowers, pivots)),
                 )
             )
     return groups
@@ -200,9 +278,9 @@ def _lender_pass(
     direct influence row and :func:`minimal_pivotal_sum`; None when the
     lender has no threshold.
 
-    Groups are visited, and totals and reinforcements summed, exactly as
-    :func:`pivotal_groups` and the KBI formula over its output do, so every
-    float equals the one computed from the listed groups.
+    Totals and reinforcements are summed, and each borrower's terms added,
+    in the order :func:`pivotal_groups` lists the groups and the KBI formula
+    sums over them, so every float equals the one computed from that list.
     """
     found = _search_input(net, lender, policy, cap)
     if found is None:
@@ -210,38 +288,38 @@ def _lender_pass(
     borrowers, weights, floor = found
     n = len(borrowers)
     scale = out_strength(net, lender)
-    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i; None
-    # for a borrower no co-member reinforces, whose term is then w_i / s_L
-    support: list[list[float] | None] = []
-    for bi in borrowers:
-        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
-        support.append(row if any(row) else None)
-    alone = [w / scale for w in weights]
-    masses = [0.0] * n
-    min_totals: list[float | None] = [None] * n
+    # support[i, j] = min(a_ji, a_Lj), co-member j's reinforcement of i
+    rows = [
+        [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
+        for bi in borrowers
+    ]
+    supporters = [j for j in range(n) if any(row[j] for row in rows)]
+    support = np.array(rows)
+    loans = np.array(weights)
+    lowest = np.full(n, np.inf)  # pivotal totals are finite: a loan is finite
+    parts = []
     groups = 0
-    for candidates in _candidates(weights, floor, pivotal_only=True):
-        candidates.sort()
-        for combo in candidates:
-            total = sum([weights[i] for i in combo])
-            if total < floor:
-                continue
-            pivotal = [i for i in combo if total - weights[i] < floor]
-            if not pivotal:
-                continue
-            groups += 1
-            size = len(combo)
-            for i in pivotal:
-                row = support[i]
-                if row is None:
-                    masses[i] += alone[i] / size
-                else:
-                    reinforcement = sum([row[j] for j in combo if j != i])
-                    masses[i] += ((weights[i] + reinforcement) / scale) / size
-                best = min_totals[i]
-                if best is None or total < best:
-                    min_totals[i] = total
-    return _LenderPass(borrowers, weights, masses, min_totals, groups)
+    for size, bounds, (totals, sizes, members, pivotal) in _blocks(weights, floor, True):
+        groups += len(totals)
+        at, who = np.nonzero(pivotal.T)  # (group, pivotal member), group by group
+        # co-members' reinforcement, added in index order; adding 0.0 for a
+        # non-member or a non-supporter leaves a sum as it is
+        reinforcement = np.zeros(len(who))
+        for j in supporters:
+            reinforcement += np.where(members[j].take(at), support[:, j].take(who), 0.0)
+        masses = ((loans.take(who) + reinforcement) / scale) / sizes.take(at)
+        np.minimum.at(lowest, who, totals.take(at))
+        listed = at.tolist()
+        bounds = [bisect_left(listed, bound) for bound in bounds]
+        # a copy of who frees the (group, member) pairs it is a view of
+        parts.append((size, bounds, (who.copy(), masses)))
+    # each borrower's mass adds its groups' terms one after another, in
+    # group order: by size, then lexicographic
+    mass = np.zeros(n)
+    for (who, masses), a, b in _in_size_order(parts, n):
+        np.add.at(mass, who[a:b], masses[a:b])
+    min_totals = [None if t == np.inf else t for t in lowest.tolist()]
+    return _LenderPass(borrowers, weights, mass.tolist(), min_totals, groups)
 
 
 def _lender_passes(

@@ -12,6 +12,7 @@ so that reports list "2" before "10".
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -264,6 +265,18 @@ def _csv_rows(
         raise ValueError(f"{path}: not UTF-8 text") from None
 
 
+def _read_json(path: str) -> object:
+    """The JSON document in a UTF-8 file; ValueError naming the path when the
+    file is not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
 def _csv_float(path: str, lineno: int, raw: str, what: str) -> float:
     """`raw` as a finite float; ValueError naming the line and `what` otherwise."""
     try:
@@ -295,12 +308,17 @@ def read_edges_csv(path: str) -> list[tuple[str, str, float]]:
 def read_attributes_csv(path: str) -> dict[str, dict[str, float]]:
     """Read a node attribute CSV with header ``node,<attr1>,<attr2>,...``.
 
-    Empty cells mean "no value".  Duplicate node rows and non-finite values
-    are rejected.
+    Empty cells mean "no value".  Empty or repeated attribute names,
+    duplicate node rows and non-finite values are rejected.
     """
     rows = _csv_rows(path, "node,<attr>,...", lambda h: len(h) >= 2 and h[0] == "node")
     _, header = next(rows)
     names = header[1:]
+    for k, name in enumerate(names):
+        if not name:
+            raise ValueError(f"{path}: line 1: empty attribute name")
+        if name in names[:k]:
+            raise ValueError(f"{path}: line 1: duplicate attribute {name!r}")
     attributes: dict[str, dict[str, float]] = {name: {} for name in names}
     seen: set[str] = set()
     for lineno, row in rows:

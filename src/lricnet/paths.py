@@ -22,14 +22,14 @@ shorter chain, then the lexicographically smallest node sequence.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import _lender_passes, _LenderPass
-from .network import ExposureNetwork, ThresholdPolicy, node_sort_key
+from .network import ExposureNetwork, ThresholdPolicy, _read_json, node_sort_key
 
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
 
@@ -107,22 +107,35 @@ GRADE_SCHEMAS = {"five-level": FIVE_LEVEL, "eight-level": EIGHT_LEVEL}
 
 
 def load_grade_schema(path: str) -> GradeSchema:
-    """Load a schema from JSON: {"mode": "upper"|"lower", "levels": [[bound, label], ...]}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Load a schema from JSON: {"mode": "upper"|"lower", "levels": [[bound, label], ...]}.
+
+    Bounds must be finite numbers; every error names the file."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: grade schema must be a JSON object")
     mode = raw.get("mode", "upper")
     if mode not in ("upper", "lower"):
         raise ValueError(f"{path}: mode must be 'upper' or 'lower', got {mode!r}")
     levels = raw.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ValueError(f"{path}: 'levels' must be a non-empty list of [bound, label]")
-    bounds = tuple(float(b) for b, _ in levels)
-    labels = tuple(str(label) for _, label in levels)
+    bounds, labels = [], []
+    for k, level in enumerate(levels, 1):
+        if not isinstance(level, list) or len(level) != 2:
+            raise ValueError(f"{path}: level {k} must be [bound, label], got {level!r}")
+        bound, label = level
+        # a JSON integer can exceed every float, so compare before converting
+        if type(bound) not in (int, float) or not abs(bound) <= sys.float_info.max:
+            raise ValueError(
+                f"{path}: level {k}: bound must be a finite number, got {bound!r}"
+            )
+        bounds.append(float(bound))
+        labels.append(str(label))
     if mode == "lower":
         # One more grade than bounds (the exact-1.0 grade has no bound entry),
         # so the per-bound labels cannot be carried over one-to-one.
-        return GradeSchema(bounds=bounds, upper_inclusive=False, labels=None)
-    return GradeSchema(bounds=bounds, upper_inclusive=True, labels=labels)
+        return GradeSchema(bounds=tuple(bounds), upper_inclusive=False, labels=None)
+    return GradeSchema(bounds=tuple(bounds), upper_inclusive=True, labels=tuple(labels))
 
 
 @dataclass(frozen=True)

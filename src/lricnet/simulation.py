@@ -415,14 +415,19 @@ def simulate(
             row = together[i]
             for j in seed_set:
                 row[j] += 1
-        cascaded, reached = engine.reach(seed_set)
-        for j in seed_set:
-            credited = cascaded & solo[j]
-            if j in reached:
-                credited |= reached[j]
-            row = credits[j]
-            for i in credited:
-                row[i] += 1
+        _, reached = engine.reach(seed_set)
+        for j, seen in reached.items():
+            row, alone = credits[j], solo[j]
+            for i in seen:
+                if i not in alone:
+                    row[i] += 1
+    # Shares are never negative, so a run seeding j defaults all of solo[j]:
+    # j's solo channel credits each i of it in every run seeding j but not i.
+    for j, alone in enumerate(solo):
+        row, seeded = credits[j], together[j]
+        for i in alone:
+            if i != j:
+                row[i] += seeded[j] - seeded[i]
     logger.debug(
         "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
         "%d redundancy checks settled by a solo cascade, %d supports cached "

@@ -170,13 +170,13 @@ KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matr
 
 def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, monkeypatch):
     searched = []
-    search = groups_module._candidates
+    search = groups_module._blocks
 
     def counted(*args, **kwargs):
         searched.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(groups_module, "_candidates", counted)
+    monkeypatch.setattr(groups_module, "_blocks", counted)
     code, _, _ = _run(capsys, "compute", "--edges", ex1_csv, *KBI_AND_PATH)
     assert code == 0
     lenders = [v for v in ex1.nodes if out_strength(ex1, v) != 0]
@@ -380,6 +380,41 @@ def test_grades_flag(capsys, ex1_csv, tmp_path):
         "--method", "maxpath", "--grades", str(schema),
     )
     assert code == 0, err
+
+
+BOUND = "level 1: bound must be a finite number, got"
+
+
+@pytest.mark.parametrize(
+    "flag, body, message",
+    [
+        ("--grades", '{"levels": [[0.5], [1.0, "x"]]}', "level 1 must be [bound, label], got [0.5]"),
+        ("--grades", "[[0.5], [1.0, \"x\"]]", "grade schema must be a JSON object"),
+        ("--grades", "[1, 2]", "grade schema must be a JSON object"),
+        ("--grades", '{"levels": [[0.5, "a"]', "invalid JSON: "),
+        ("--grades", '{"levels": [["nan", "a"], [1.0, "b"]]}', f"{BOUND} 'nan'"),
+        ("--grades", '{"levels": [[NaN, "a"], [1.0, "b"]]}', f"{BOUND} nan"),
+        ("--grades", '{"levels": [[true, "a"]]}', f"{BOUND} True"),
+        ("--grades", '{"levels": [[1e400, "a"]]}', f"{BOUND} inf"),
+        ("--grades", '{"levels": [[' + "9" * 400 + ', "a"]]}', f"{BOUND} 999"),
+        ("--grades", b'{"levels": [[1.0, "\xff"]]}', "not UTF-8 text"),
+        ("--config", b'{"s": 2, "method": "\xff"}', "not UTF-8 text"),
+        ("--config", '{"s": 2', "invalid JSON: "),
+        ("--config", "[1, 2]", "config must be a JSON object"),
+    ],
+)
+def test_bad_json_input_names_its_file(capsys, ex1_csv, tmp_path, flag, body, message):
+    path = tmp_path / "input.json"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body, encoding="utf-8")
+    code, out, err = _run(
+        capsys, "compute", "--edges", ex1_csv, "--q", "out-share:0.25",
+        "--method", "maxpath", flag, str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {message}"), err
 
 
 def test_json_format(capsys, ex1_csv):

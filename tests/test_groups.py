@@ -7,6 +7,7 @@ being frozen here.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +32,7 @@ from lricnet import (
     pivotal_members,
     threshold,
 )
-from lricnet.groups import TOL
+from lricnet.groups import TOL, _lender_pass, _search_input
 from lricnet.kbi import kbi_rows
 
 # lender -> set of critical groups under the 25% quota
@@ -209,6 +210,15 @@ def test_pruned_search_matches_power_set():
     assert cut_b_lenders > 100  # lenders with groups that cut (b) must drop
 
 
+def test_near_zero_quota_lists_every_nonempty_group():
+    # every subset reaches a threshold of 1e-12, but the empty set is no group
+    net = ingest_edges([("L", "b0", 2.0), ("L", "b1", 0.5), ("L", "b2", 1.0)])
+    policy = Absolute({"L": 1e-12})
+    assert critical_groups(net, "L", policy) == _power_set_groups(net, "L", policy)
+    assert len(critical_groups(net, "L", policy)) == 7
+    assert pivotal_groups(net, "L", policy) == []
+
+
 def test_pivotal_member_beside_a_small_one():
     # {b0} is critical on its own, yet b0 is still pivotal in {b0, b1}: a
     # search that stopped extending at the first critical set would lose it
@@ -331,3 +341,184 @@ def test_pivotal_pass_matches_group_list_oracle():
     # the nets exercise reinforcement and node tuples out of node order
     assert reinforced > 300
     assert out_of_order > 100
+
+
+def _reference_candidates(weights, floor, pivotal_only):
+    """A candidate-list search, kept as the oracle of the block enumerator:
+    a depth-first search in descending weight with cuts (a) and (b), which
+    lists the index tuples of each size that may be critical (and pivotal)."""
+    n = len(weights)
+    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    ws = [weights[i] for i in order]
+    suffix = [0.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + ws[k]
+    slack = (n + 1) * (suffix[0] + abs(floor)) * 2.0**-49
+    reach, spill = floor - slack, floor + slack
+    by_size = [[] for _ in range(n + 1)]
+    if pivotal_only and spill <= 0:
+        return by_size
+    chosen = []
+
+    def extend(start, partial, rest):
+        size = len(chosen) + 1
+        for j in range(start, n):
+            if partial + suffix[j] < reach:
+                return
+            rest_j = rest + ws[j]
+            if pivotal_only and rest_j >= spill:
+                continue
+            chosen.append(order[j])
+            if partial + ws[j] >= reach:
+                by_size[size].append(tuple(sorted(chosen)))
+            extend(j + 1, partial + ws[j], rest_j)
+            chosen.pop()
+
+    for first in range(n):
+        if suffix[first] < reach:
+            break
+        chosen.append(order[first])
+        if ws[first] >= reach:
+            by_size[1].append((order[first],))
+        extend(first + 1, ws[first], 0.0)
+        chosen.pop()
+    for candidates in by_size:
+        candidates.sort()  # node order within each size
+    return by_size
+
+
+def _reference_groups(net, lender, policy, pivotal_only):
+    """``critical_groups`` / ``pivotal_groups`` from the candidate lists."""
+    found = _search_input(net, lender, policy, 25)
+    if found is None:
+        return []
+    borrowers, weights, floor = found
+    groups = []
+    for candidates in _reference_candidates(weights, floor, pivotal_only):
+        for combo in candidates:
+            total = sum([weights[i] for i in combo])
+            if total < floor:
+                continue
+            pivotal = frozenset([borrowers[i] for i in combo if total - weights[i] < floor])
+            if pivotal_only and not pivotal:
+                continue
+            members = frozenset([borrowers[i] for i in combo])
+            groups.append(CriticalGroup(lender, members, total, pivotal))
+    return groups
+
+
+def _reference_lender_pass(net, lender, policy):
+    """``_lender_pass`` group by group over the candidate lists."""
+    found = _search_input(net, lender, policy, 25)
+    if found is None:
+        return None
+    borrowers, weights, floor = found
+    n = len(borrowers)
+    scale = out_strength(net, lender)
+    support = []
+    for bi in borrowers:
+        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
+        support.append(row if any(row) else None)
+    masses = [0.0] * n
+    min_totals = [None] * n
+    groups = 0
+    for candidates in _reference_candidates(weights, floor, pivotal_only=True):
+        for combo in candidates:
+            total = sum([weights[i] for i in combo])
+            if total < floor:
+                continue
+            pivotal = [i for i in combo if total - weights[i] < floor]
+            if not pivotal:
+                continue
+            groups += 1
+            for i in pivotal:
+                row = support[i]
+                if row is None:
+                    masses[i] += (weights[i] / scale) / len(combo)
+                else:
+                    reinforcement = sum([row[j] for j in combo if j != i])
+                    masses[i] += ((weights[i] + reinforcement) / scale) / len(combo)
+                if min_totals[i] is None or total < min_totals[i]:
+                    min_totals[i] = total
+    return (borrowers, weights, masses, min_totals, groups)
+
+
+def _wide_lender(rng, trial, n):
+    """Lender "L" with `n` borrowers that also lend to each other, and a
+    quota that keeps its group count small enough for the oracle."""
+    kind = trial % 3
+    if kind == 0:
+        weights = [rng.randint(1, 100) for _ in range(n)]
+    elif kind == 1:
+        weights = [rng.uniform(0.01, 100.0) for _ in range(n)]
+    else:
+        weights = [rng.choice([0.1, 0.2, 0.3, 1, 2, 5]) for _ in range(n)]
+    names = [f"b{i}" for i in range(n)]
+    edges = {("L", b): float(w) for b, w in zip(names, weights)}
+    for a in names:
+        for b in names:
+            if a != b and rng.random() < 0.1:
+                loan = rng.choice([rng.randint(1, 100), rng.uniform(0.01, 100.0), 0.3])
+                edges[(a, b)] = float(loan)
+    net = ExposureNetwork(nodes=tuple(["L", *names]), edges=edges)
+    if trial % 2:
+        return net, OutShareQuota(rng.choice([0.05, 0.1, 0.9, 1.0]))
+    share = rng.choice([0.1, 0.9])
+    part = [w for w in weights if rng.random() < share] or weights[:1]
+    return net, Absolute({"L": sum(part) + rng.choice([0.0, 0.0, TOL, -TOL])})
+
+
+def test_pivotal_pass_matches_candidate_oracle_across_blocks():
+    # 13 to 20 borrowers: the first ones are walked as prefixes, each with a
+    # block of the last twelve
+    rng = random.Random(1813)
+    multi_block = checked = 0
+    for trial in range(48):
+        n = rng.randint(13, 20)
+        net, policy = _wide_lender(rng, trial, n)
+        context = (trial, net.edges, policy)
+        found = _lender_pass(net, "L", policy)
+        if found.groups > 30000:
+            continue  # too slow for the oracle
+        checked += 1
+        expected = _reference_lender_pass(net, "L", policy)
+        assert tuple(found) == expected, context
+        assert all(type(m) is float for m in found.masses)
+        expected_groups = _reference_groups(net, "L", policy, pivotal_only=True)
+        assert pivotal_groups(net, "L", policy) == expected_groups, context
+        assert len(expected_groups) == expected[4]
+        if threshold(net, policy, "L") > 0.8 * out_strength(net, "L"):
+            # few groups reach a high threshold, pivotal member or not
+            expected_groups = _reference_groups(net, "L", policy, pivotal_only=False)
+            assert critical_groups(net, "L", policy) == expected_groups, context
+        multi_block += any(len(g.members) > 1 and "b0" in g.members for g in expected_groups)
+    assert checked > 40
+    assert multi_block > 20  # groups that mix prefix and block borrowers
+
+
+def test_critical_groups_match_power_set_across_blocks():
+    rng = random.Random(1814)
+    for trial in range(8):
+        net, policy = _wide_lender(rng, trial, 13 + trial % 3)
+        expected = _power_set_groups(net, "L", policy)
+        assert critical_groups(net, "L", policy) == expected, (trial, net.edges, policy)
+        expected_pivotal = [g for g in expected if g.pivotal]
+        assert pivotal_groups(net, "L", policy) == expected_pivotal, (trial, net.edges, policy)
+
+
+def test_pivotal_pass_memory_at_the_cap():
+    # 25 borrowers, the cap: the pass holds one block and the pivotal terms
+    # it found, less than the candidate lists of the oracle search
+    rng = random.Random(25)
+    net = ingest_edges([("L", f"b{i}", rng.randint(1, 100)) for i in range(25)])
+    policy = OutShareQuota(0.1)
+    peaks = []
+    for walk in (_lender_pass, _reference_lender_pass):
+        tracemalloc.start()
+        try:
+            found = walk(net, "L", policy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert found[4] == 38752  # pivotal groups
+    assert peaks[0] < 2.5e6 < peaks[1], peaks

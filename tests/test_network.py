@@ -222,6 +222,25 @@ def test_read_attributes_csv_duplicate_node(tmp_path):
         read_attributes_csv(p)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("node,gdp,gdp", "line 1: duplicate attribute 'gdp'"),
+        ("node,gdp,pop,gdp", "line 1: duplicate attribute 'gdp'"),
+        ("node,gdp, gdp ", "line 1: duplicate attribute 'gdp'"),
+        ("node,gdp,", "line 1: empty attribute name"),
+        ("node,,gdp", "line 1: empty attribute name"),
+    ],
+)
+def test_read_attributes_csv_rejects_bad_attribute_names(tmp_path, header, message):
+    # a repeated name would keep only its last column's values
+    fields = header.count(",")
+    p = _write(tmp_path / "a.csv", f"{header}\na" + ",1" * fields + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_attributes_csv(p)
+    assert str(raised.value) == f"{p}: {message}"
+
+
 def test_views_equal_edge_scans():
     # "1" and "01" tie under node_sort_key, so their order is the edges order
     rng = random.Random(5)
