@@ -207,8 +207,9 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"{key} must be an integer, got {value!r}")
     if settings.get("s") is not None and settings["s"] < 1:
         raise ValueError(f"s must be at least 1, got {settings['s']}")
-    if settings.get("damping") is not None:
-        settings["damping"] = float(settings["damping"])
+    damping = settings.get("damping")
+    if isinstance(damping, bool) or not isinstance(damping, (int, float, type(None))):
+        raise ValueError(f"damping must be a number, got {damping!r}")
     for key in ("no_net", "emit_matrices"):
         if key in settings and not isinstance(settings[key], bool):
             raise ValueError(f"{key} must be true or false, got {settings[key]!r}")

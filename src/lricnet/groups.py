@@ -112,7 +112,9 @@ def _block_layout(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[i
     return order, sizes.take(order), members, offsets
 
 
-def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[tuple]:
+def _blocks(
+    weights: list[float], floor: float, pivotal_only: bool, loose: bool = False
+) -> Iterator[tuple]:
     """Groups of the borrowers with loans `weights` (node order) whose total
     reaches `floor`; with `pivotal_only`, those with a pivotal member.
 
@@ -128,8 +130,11 @@ def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[
     `pivotal_only`, when (b) its total without its largest member already
     reaches `floor`: then no extension has a pivotal member.  Both cuts
     give way by `slack`, which exceeds the rounding of any float sum here.
-    A prefix's block follows the blocks of its extensions, which keeps
-    every size in lexicographic order across blocks.
+    With `loose`, the pivotal filter of a block's groups gives way by
+    `slack` too, so it also keeps each group in which a member is pivotal
+    only when the total without it is summed anew.  A prefix's block
+    follows the blocks of its extensions, which keeps every size in
+    lexicographic order across blocks.
     """
     n = len(weights)
     start = max(n - BLOCK_BITS, 0)
@@ -139,6 +144,7 @@ def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[
         rest[k] = rest[k + 1] + weights[k]
     slack = (n + 1) * (rest[0] + abs(floor)) * 2.0**-49
     reach, spill = floor - slack, floor + slack
+    pivot_floor = spill if loose else floor
     if pivotal_only and spill <= 0:
         return  # cut (b) already holds for every single borrower
     loans = np.array(weights)[:, None]
@@ -164,7 +170,7 @@ def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[
             # a member is pivotal iff the largest one is: x - w falls as w grows
             largest = tops.take(cols)
             largest = np.where(largest > top, largest, top)
-            cols = cols.take(np.flatnonzero(totals.take(cols) - largest < floor))
+            cols = cols.take(np.flatnonzero(totals.take(cols) - largest < pivot_floor))
         if not len(cols):
             return None
         totals = totals.take(cols)
@@ -195,6 +201,38 @@ def _blocks(weights: list[float], floor: float, pivotal_only: bool) -> Iterator[
                 yield found
 
     yield from walk(0, 0.0, 0.0)
+
+
+def _non_dummies(weights: list[float], floor: float) -> list[int]:
+    """The members of the inclusion-minimal groups of the loans `weights`
+    whose total reaches `floor`, by index.
+
+    With non-negative loans these are the members pivotal in some group
+    (Felsenthal & Machover, *The Measurement of Voting Power*, 1998): k is
+    kept when some group reaches the floor and the group without k, summed
+    anew left to right in index order, does not.  The ``total - w_k`` test
+    of :func:`_blocks` can round either way, so only the loose filter's
+    groups are read, and each member still uncovered is re-summed in every
+    one of them.  The search stops once every member is covered.
+    """
+    n = len(weights)
+    # row k: the loans with k's own as 0.0, which leaves a sum as it is
+    without = np.array(
+        [[0.0 if j == k else w for j, w in enumerate(weights)] for k in range(n)]
+    )
+    uncovered = np.arange(n)
+    for _, _, (_, _, members, _) in _blocks(weights, floor, True, loose=True):
+        # rests[u, g]: group g's loans without uncovered member u, summed in
+        # index order; for a non-member u that is g's total, which reaches
+        # the floor
+        rests = np.zeros((len(uncovered), members.shape[1]))
+        for j, inside in enumerate(members):
+            rests += np.where(inside, without[:, j, None], 0.0)
+        kept = ~(rests < floor).any(axis=1)
+        uncovered, without = uncovered[kept], without[kept]
+        if not len(uncovered):
+            break
+    return sorted(set(range(n)) - set(uncovered.tolist()))
 
 
 def _in_size_order(parts: Iterable[tuple], n: int) -> Iterator[tuple]:
@@ -283,9 +321,16 @@ def _lender_pass(
     sums over them, so every float equals the one computed from that list.
     """
     found = _search_input(net, lender, policy, cap)
-    if found is None:
-        return None
-    borrowers, weights, floor = found
+    return None if found is None else _tally(net, lender, *found)
+
+
+def _tally(
+    net: ExposureNetwork,
+    lender: str,
+    borrowers: tuple[str, ...],
+    weights: list[float],
+    floor: float,
+) -> _LenderPass:
     n = len(borrowers)
     scale = out_strength(net, lender)
     # support[i, j] = min(a_ji, a_Lj), co-member j's reinforcement of i
@@ -326,12 +371,16 @@ def _lender_passes(
     net: ExposureNetwork, policy: ThresholdPolicy
 ) -> dict[str, _LenderPass]:
     """:func:`_lender_pass` of every lender with a threshold, in ``net.nodes``
-    order."""
-    passes = {}
-    for lender in net.nodes:
-        found = _lender_pass(net, lender, policy)
-        if found is not None:
-            passes[lender] = found
+    order.  Every lender is checked against the cap before any is walked."""
+    inputs = {
+        lender: _search_input(net, lender, policy, DEFAULT_ENUMERATION_CAP)
+        for lender in net.nodes
+    }
+    passes = {
+        lender: _tally(net, lender, *found)
+        for lender, found in inputs.items()
+        if found is not None
+    }
     logger.debug(
         "pivotal-group pass: %d lenders visited, %d pivotal groups tallied",
         len(passes), sum(found.groups for found in passes.values()),

@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .groups import DEFAULT_ENUMERATION_CAP, TOL
+from .groups import DEFAULT_ENUMERATION_CAP, TOL, _non_dummies
 from .network import ExposureNetwork, ThresholdPolicy, threshold
 from .paths import InfluenceMatrix, weighted_vector
 
@@ -125,8 +125,9 @@ class _CascadeEngine:
     *support* is the union of its inclusion-minimal groups among its
     defaulted borrowers (cached per lender and defaulted borrower set), and
     a lender is credited to the non-redundant seeds it reaches over support
-    edges, seeds being sinks.  The counters feed the debug line of
-    `simulate`.
+    edges, seeds being sinks.  Supports come from the pivotal-group block
+    enumerator that serves KBI, under its 25-member cap.  The counters
+    feed the debug line of `simulate`.
     """
 
     def __init__(self, values: np.ndarray, stage_limit: int | None = None) -> None:
@@ -208,7 +209,13 @@ class _CascadeEngine:
 
     def support(self, lender: int, present: frozenset[int]) -> frozenset[int]:
         """The union of the inclusion-minimal subsets of `present` whose
-        shares reach 1."""
+        shares reach 1.
+
+        Only borrowers with a positive share count, so the sums are
+        monotone, and the union is the set of members pivotal in some
+        critical group: those whose removal, the rest summed anew in index
+        order, drops the group's shares below 1 - TOL.
+        """
         key = (lender, present)
         cached = self._support.get(key)
         if cached is not None:
@@ -221,15 +228,8 @@ class _CascadeEngine:
                 f"attribution for a lender with {len(members)} defaulted "
                 f"borrowers exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
-        minimal: list[frozenset[int]] = []
-        for size in range(1, len(members) + 1):
-            for combo in combinations(members, size):
-                group = frozenset(combo)
-                if any(m <= group for m in minimal):
-                    continue
-                if sum(row[k] for k in combo) >= 1 - TOL:
-                    minimal.append(group)
-        cached = self._support[key] = frozenset().union(*minimal)
+        found = _non_dummies(row[members].tolist(), 1 - TOL)
+        cached = self._support[key] = frozenset(members[k] for k in found)
         return cached
 
     def _redundant(self, x: int, initial: frozenset[int]) -> bool:

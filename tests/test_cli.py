@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,53 @@ def test_enumeration_cap_exits_2(capsys, tmp_path, method):
     )
 
 
+def test_enumeration_cap_is_checked_before_any_lender_is_walked(
+    capsys, tmp_path, monkeypatch
+):
+    # A sorts before L, so a lender-by-lender check would walk A first
+    edges = [("A", "b0", 1), ("A", "b1", 1)] + [("L", f"b{i}", 1) for i in range(26)]
+    path = str(write_edges_csv(tmp_path / "wide.csv", edges))
+    searched = []
+    search = groups_module._blocks
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(groups_module, "_blocks", counted)
+    code, out, err = _run(
+        capsys, "compute", "--edges", path, "--q", "out-share:0.5", "--method", "kbi"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: lender 'L' has 26 borrowers; ")
+    assert searched == []
+
+
+def _sparse_csv(path, n, out_degree, seed):
+    """Every node lends to `out_degree` distinct others, weights 1-100."""
+    rng = random.Random(seed)
+    lines = ["from,to,weight"]
+    for lender in range(n):
+        others = [v for v in range(n) if v != lender]
+        for borrower in sorted(rng.sample(others, out_degree)):
+            lines.append(f"{lender},{borrower},{rng.randint(1, 100)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_exhaustive_simulation_on_dense_lenders_finishes(capsys, tmp_path):
+    # 50 lenders of 24 borrowers each at a 15 % quota: cascaded lenders
+    # have up to 24 defaulted borrowers, whose supports a subset-by-subset
+    # search took minutes to find
+    path = _sparse_csv(tmp_path / "dense.csv", 50, 24, seed=1)
+    code, out, _ = _run(
+        capsys, "compute", "--edges", path, "--q", "out-share:0.15",
+        "--method", "sim", "--sim-mode", "exhaustive", "--k0-max", "1",
+    )
+    assert code == 0
+    assert out.startswith("# sim\nnode,score,rank\n")
+
+
 def test_matrix_csv_roundtrips(capsys, ex1_csv, tmp_path):
     _compute_all(capsys, ex1_csv, tmp_path / "reports")
     raw = (tmp_path / "reports" / "kbi.matrix.csv").read_text(encoding="utf-8")
@@ -290,6 +338,16 @@ def test_config_rejects_non_integer_counts(capsys, ex1_csv, tmp_path, key, value
     code, out, err = _run(capsys, "compute", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == f"error: {key} must be an integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("0.5", "'0.5'"), (True, "True")])
+def test_config_rejects_non_numeric_damping(capsys, ex1_csv, tmp_path, value, shown):
+    cfg = tmp_path / "cfg.json"
+    doc = {"edges": ex1_csv, "method": "pagerank", "damping": value}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: damping must be a number, got {shown}\n"
 
 
 def test_malformed_edges_report_line(capsys, tmp_path):

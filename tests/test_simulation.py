@@ -471,3 +471,126 @@ def test_attribution_enumeration_cap():
         "the enumeration cap 25",
     ):
         pivotal_initiators(c, "L", seeds)
+
+
+def _minimal_union(row, present):
+    """The support as the engine once computed it: every subset of the
+    defaulted borrowers by size, keeping those that reach 1 and hold no
+    group kept before."""
+    members = sorted(k for k in present if row[k] > 0)
+    minimal = []
+    for size in range(1, len(members) + 1):
+        for combo in combinations(members, size):
+            group = frozenset(combo)
+            if any(m <= group for m in minimal):
+                continue
+            if sum(row[k] for k in combo) >= 1 - TOL:
+                minimal.append(group)
+    return frozenset().union(*minimal)
+
+
+def _row_support(shares):
+    """The engine's support of a lender whose borrowers, all defaulted,
+    hold `shares` in index order."""
+    values = np.zeros((len(shares) + 1, len(shares) + 1))
+    values[0, 1:] = shares
+    engine = _CascadeEngine(values)
+    found = engine.support(0, frozenset(range(1, len(shares) + 1)))
+    return sorted(k - 1 for k in found)
+
+
+def _row_oracle(shares):
+    return sorted(_minimal_union(shares, range(len(shares))))
+
+
+def test_supports_match_power_set_on_random_nets():
+    checked = 0
+    for net, policy, s in _random_cases(150):
+        values = share_matrix(net, policy).values
+        engine = _CascadeEngine(values, stage_limit=s)
+        n = len(values)
+        for size in range(1, min(3, n) + 1):
+            for seed in map(frozenset, combinations(range(n), size)):
+                d = engine.defaulted(seed)
+                for i in range(n):
+                    present = frozenset(np.flatnonzero(values[i]).tolist()) & d
+                    expected = _minimal_union(values[i], present)
+                    assert engine.support(i, present) == expected, (net.edges, i, present)
+                    checked += 1
+    assert checked > 10_000
+
+
+def _ulps(x, k):
+    """The float `k` steps from `x` (down when `k` is negative)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+def _near_floor_rows(count, sizes):
+    """Share rows of sizes in `sizes` whose sums sit within a few ulps of
+    1 - TOL: one share next to it, one share that lifts the others' sum to
+    it, near-equal shares of which all but one fall just short of it, or
+    whole units of a quota, where sums hit 1 - TOL give or take rounding and
+    many shares, a 1e-13 speck among them, are in no minimal group."""
+    floor = 1 - TOL
+    rng = random.Random(20181018)
+    for k in range(count):
+        m = rng.choice(sizes)
+        row = [rng.uniform(0.01, 1.0) for _ in range(m)]
+        j = rng.randrange(m)
+        if k % 4 == 0:
+            row[j] = _ulps(floor, rng.randint(-4, 1))
+        elif k % 4 == 1:
+            others = row[:j] + row[j + 1 :]
+            scale = rng.uniform(0.3, 0.99) / sum(others)
+            row = [share * scale for share in row]
+            row[j] = _ulps(floor - sum(row[:j] + row[j + 1 :]), rng.randint(-3, 3))
+        elif k % 4 == 2:
+            g = rng.randint(2, m)
+            row[:g] = [_ulps(floor / (g - 1), rng.randint(-4, 2)) for _ in range(g)]
+            rng.shuffle(row)
+        else:
+            quota = rng.randint(m, 4 * m)
+            row = [min(rng.randint(1, quota) / quota, 1.0) for _ in range(m)]
+            row[j] = 1e-13
+        yield row
+
+
+@pytest.mark.parametrize(
+    "count, sizes",
+    [
+        (10_000, range(2, 8)),
+        # rows past the 12 borrowers of one block, walked in several
+        (30, range(13, 15)),
+    ],
+)
+def test_supports_match_power_set_near_the_floor(count, sizes):
+    for row in _near_floor_rows(count, sizes):
+        assert _row_support(row) == _row_oracle(row), row
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        # the group total minus a member's share reads as pivotal for 1,
+        # but 0 alone already reaches the floor
+        ([0.999999999, 0.4467340235293335], [0]),
+        # the group total minus share 0 still reaches the floor, but share
+        # 1 alone does not
+        ([0.7702387815308883, 0.9999999989999999], [0, 1]),
+        # every three of the four fall short of the floor, yet the total
+        # minus the largest share reaches it
+        ([0.33333333299999995] * 3 + [0.333333333], [0, 1, 2, 3]),
+    ],
+)
+def test_support_resums_each_member(row, expected):
+    assert _row_oracle(row) == expected
+    assert _row_support(row) == expected
+
+
+def test_support_of_many_equal_shares():
+    # any 11 of the 18 shares reach 1, so every member lies in a minimal
+    # group; a subset-by-subset search visits some 2^18 sets
+    share = 1 / (0.6 * 18)
+    assert _row_support([share] * 18) == list(range(18))
