@@ -5,11 +5,12 @@ Conventions here are pinned to reproduce the reference result tables:
 * degree measures report raw strength sums, not the /(n-1) textbook variant;
 * closeness uses weighted Dijkstra distances, with every unreachable pair
   contributing the vertex count;
-* betweenness counts, for each ordered pair, the fewest-hop geodesics of
-  maximal total edge weight (fractional credit when several share that
-  weight);
+* betweenness counts, for each ordered pair, the fewest-hop paths whose
+  weight is maximal hop by hop (fractional credit when several tie); credits
+  are exact and rounded once, so exact ties share a rank;
 * eigenvector centrality is computed on the symmetrized weights A + A^T
-  (the directed spectrum is degenerate on acyclic exposure networks);
+  (the directed spectrum is degenerate on acyclic exposure networks), and
+  is 0 for every node of a net with no edge;
 * PageRank is the weighted directed walk with uniform dangling
   redistribution.
 """
@@ -17,7 +18,7 @@ Conventions here are pinned to reproduce the reference result tables:
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,69 +104,53 @@ def closeness(net: ExposureNetwork, direction: str = "out") -> dict[str, float]:
     return result
 
 
-def _hop_levels(adj: dict[int, list[int]], source: int) -> dict[int, int]:
-    level = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, []):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return level
-
-
 def betweenness(net: ExposureNetwork) -> dict[str, float]:
     """Geodesic betweenness over fewest-hop, maximal-weight directed paths.
 
-    For every ordered pair (s, t) the geodesics are the fewest-hop paths;
-    among those, only the ones of maximal total edge weight count, sharing
-    one unit of credit across their interior nodes.
+    For every ordered pair (s, t) the geodesics are the fewest-hop paths
+    whose weight is maximal hop by hop: every prefix of a geodesic is itself
+    a geodesic to the node where it ends.  The geodesics of a pair share one
+    unit of credit across their interior nodes.
+
+    One pass per source over its BFS DAG (Brandes, J. Math. Sociol. 25(2),
+    2001) lists no path.  Credits are kept as exact integers over a common
+    denominator and rounded once, so each score is the correctly rounded
+    exact sum and nodes whose sums tie exactly get the same float.
     """
-    nodes, index = list(net.nodes), net.index
-    n = len(nodes)
-    adj: dict[int, list[int]] = {}
-    wgt: dict[tuple[int, int], float] = {}
-    for (src, dst), w in net.edges.items():
-        i, j = index[src], index[dst]
-        adj.setdefault(i, []).append(j)
-        wgt[(i, j)] = w
-    score = [0.0] * n
-    for s in range(n):
-        level = _hop_levels(adj, s)
-        for t, tlevel in level.items():
-            if t == s or tlevel < 2:
-                continue
-            paths = _level_paths(adj, level, s, t)
-            best = max(sum(wgt[(p[k], p[k + 1])] for k in range(len(p) - 1)) for p in paths)
-            chosen = [
-                p
-                for p in paths
-                if sum(wgt[(p[k], p[k + 1])] for k in range(len(p) - 1)) == best
-            ]
-            credit = 1.0 / len(chosen)
-            for p in chosen:
-                for mid in p[1:-1]:
-                    score[mid] += credit
-    return dict(zip(nodes, score))
-
-
-def _level_paths(
-    adj: dict[int, list[int]], level: dict[int, int], s: int, t: int
-) -> list[list[int]]:
-    """All fewest-hop s->t paths, walking strictly down BFS levels."""
-    out: list[list[int]] = []
-    stack = [[s]]
-    while stack:
-        path = stack.pop()
-        u = path[-1]
-        if u == t:
-            out.append(path)
-            continue
-        for v in adj.get(u, []):
-            if level.get(v) == level[u] + 1 and level[v] <= level[t]:
-                stack.append(path + [v])
-    return out
+    edges = net.edges
+    num = dict.fromkeys(net.nodes, 0)  # exact scores are num[v] / den
+    den = 1
+    for s in net.nodes:
+        level, best, sigma, preds = {s: 0}, {s: 0.0}, {s: 1}, {s: []}
+        order = [s]
+        for u in order:  # BFS: the loop visits nodes as they are appended
+            hop, prefix = level[u] + 1, best[u]
+            for v in net.borrowers_of(u):
+                if v not in level:
+                    level[v] = hop
+                    order.append(v)
+                    best[v], sigma[v], preds[v] = prefix + edges[u, v], sigma[u], [u]
+                elif level[v] == hop:
+                    total = prefix + edges[u, v]
+                    if total > best[v]:
+                        best[v], sigma[v], preds[v] = total, sigma[u], [u]
+                    elif total == best[v]:
+                        sigma[v] += sigma[u]
+                        preds[v].append(u)
+        # g[v] = d * (dependency of s on v) / sigma[v], an integer
+        d = math.lcm(*sigma.values())
+        grow = math.lcm(den, d) // den
+        if grow > 1:
+            den *= grow
+            num = {v: x * grow for v, x in num.items()}
+        scale = den // d
+        g = dict.fromkeys(order, 0)
+        for v in reversed(order[1:]):
+            share = d // sigma[v] + g[v]
+            for u in preds[v]:
+                g[u] += share
+            num[v] += sigma[v] * g[v] * scale
+    return {v: num[v] / den for v in net.nodes}
 
 
 def eigenvector(
@@ -195,6 +180,11 @@ def eigenvector(
             return dict(zip(nodes, (nv / nv.max()).tolist()))
         v = nv
     raise ValueError(f"eigenvector iteration did not converge (residual {residual:.3e})")
+
+
+def _eigenvector_or_zeros(net: ExposureNetwork) -> dict[str, float]:
+    """:func:`eigenvector`, or 0.0 for every node when the net has no edge."""
+    return eigenvector(net) if net.edges else {v: 0.0 for v in net.nodes}
 
 
 def pagerank(
@@ -233,6 +223,6 @@ def centrality_table(net: ExposureNetwork) -> CentralityTable:
         clos_in=closeness(net, "in"),
         clos_out=closeness(net, "out"),
         betw=betweenness(net),
-        eig=eigenvector(net) if net.edges else {v: 0.0 for v in net.nodes},
+        eig=_eigenvector_or_zeros(net),
         pagerank=pagerank(net),
     )

@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .centrality import betweenness, closeness, degree_measures, eigenvector, pagerank
+from .centrality import (
+    _eigenvector_or_zeros,
+    betweenness,
+    closeness,
+    degree_measures,
+    pagerank,
+)
 from .groups import _lender_passes, _LenderPass
 from .kbi import _kbi_rows, kbi_from_rows, kbi_matrix
 from .network import (
@@ -282,7 +288,7 @@ def _compute_one(
     if name == "betweenness":
         return betweenness(net), None
     if name == "eigenvector":
-        return eigenvector(net), None
+        return _eigenvector_or_zeros(net), None
     if name == "pagerank":
         return pagerank(net, damping=settings["damping"]), None
     if policy is None:

@@ -367,6 +367,8 @@ def _bernoulli_subset(
 
 def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]):
     n = len(nodes)
+    if n == 0:
+        return
     k_max = min(plan.k0_max, n)
     if plan.mode == "exhaustive":
         for size in range(1, k_max + 1):

@@ -3,8 +3,13 @@
 Degree and betweenness oracles are exact hand counts; eigenvector and
 pagerank oracles were frozen from an independent dense-matrix computation
 (power iteration on the symmetrized weights, and the damped random surfer
-with uniform dangling mass).
+with uniform dangling mass).  Betweenness is also checked against a
+reference that lists every fewest-hop path and sums exact fractions.
 """
+
+import random
+from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +22,7 @@ from lricnet import (
     ingest_edges,
     pagerank,
 )
+from lricnet.cli import emit_report
 
 EX1_BETWEENNESS = [0, 1, 0, 3, 5, 0, 6, 0, 0, 0]
 EX2_BETWEENNESS = [45, 23, 0, 17, 0, 10, 10, 0, 0, 43, 0]
@@ -51,6 +57,121 @@ def test_degree_measures_ex2(ex2):
 def test_betweenness_exact(ex1, ex2):
     assert _as_list(betweenness(ex1), 10) == EX1_BETWEENNESS
     assert _as_list(betweenness(ex2), 11) == EX2_BETWEENNESS
+
+
+def _hop_levels(adj, source):
+    level = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj.get(u, []):
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def _level_paths(adj, level, s, t):
+    """All fewest-hop s->t paths, walking strictly down BFS levels."""
+    out = []
+    stack = [[s]]
+    while stack:
+        path = stack.pop()
+        u = path[-1]
+        if u == t:
+            out.append(path)
+            continue
+        for v in adj.get(u, []):
+            if level.get(v) == level[u] + 1 and level[v] <= level[t]:
+                stack.append(path + [v])
+    return out
+
+
+def _reference_betweenness(net):
+    """Every fewest-hop path of maximal total weight, exact credit per pair."""
+    adj = {}
+    for a, b in net.edges:
+        adj.setdefault(a, []).append(b)
+    score = dict.fromkeys(net.nodes, Fraction(0))
+    for s in net.nodes:
+        level = _hop_levels(adj, s)
+        for t, hops in level.items():
+            if hops < 2:
+                continue
+            paths = _level_paths(adj, level, s, t)
+            totals = [sum(net.edges[p[k], p[k + 1]] for k in range(len(p) - 1)) for p in paths]
+            chosen = [p for p, total in zip(paths, totals) if total == max(totals)]
+            for p in chosen:
+                for mid in p[1:-1]:
+                    score[mid] += Fraction(1, len(chosen))
+    return score
+
+
+def _integer_weight_net(rng, draw):
+    n = rng.randint(3, 9)
+    density = rng.uniform(0.2, 0.6)
+    return ingest_edges([
+        (str(a), str(b), draw(rng))
+        for a in range(n)
+        for b in range(n)
+        if a != b and rng.random() < density
+    ])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.randint(1, 100),
+    lambda rng: rng.randint(1, 3),
+    lambda rng: 1,
+], ids=["weights-1-100", "weights-1-3", "weights-equal"])
+def test_betweenness_is_the_rounded_exact_credit_sum(draw):
+    # integer weights add exactly, so the hop-by-hop maximum and the
+    # maximum over whole paths pick the same geodesics
+    rng = random.Random(13)
+    for _ in range(200):
+        net = _integer_weight_net(rng, draw)
+        reference = _reference_betweenness(net)
+        assert betweenness(net) == {v: float(x) for v, x in reference.items()}
+
+
+def test_betweenness_fixtures_match_reference(ex1, ex2):
+    for net in (ex1, ex2):
+        assert betweenness(net) == {v: float(x) for v, x in _reference_betweenness(net).items()}
+
+
+def test_betweenness_exact_tie_shares_a_rank():
+    # nodes 0 and 3 both score exactly 10/3; summing 1/k path by path in
+    # floats gave them two different floats and two ranks
+    edges = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (2, 0), (2, 1), (2, 3), (3, 2), (3, 4),
+             (4, 0)]
+    scores = betweenness(ingest_edges([(str(a), str(b), 1) for a, b in edges]))
+    assert scores["0"] == scores["3"] == 10 / 3
+    assert emit_report(scores).decode().splitlines()[1:3] == ["0,3.333333,1", "3,3.333333,1"]
+
+
+def test_betweenness_maximum_is_taken_hop_by_hop():
+    # both s->t paths sum to the same float, but at c the prefix through b
+    # (0.25 + 0.05) is smaller than the one through a (0.1 + 0.2)
+    net = ingest_edges([
+        ("s", "a", 0.1), ("a", "c", 0.2), ("s", "b", 0.25), ("b", "c", 0.05), ("c", "t", 1.0),
+    ])
+    assert 0.1 + 0.2 + 1.0 == 0.25 + 0.05 + 1.0 and 0.1 + 0.2 > 0.25 + 0.05
+    assert betweenness(net) == {"a": 2.0, "b": 0.0, "c": 3.0, "s": 0.0, "t": 0.0}
+
+
+def test_betweenness_on_layers_lists_no_path():
+    # 25 layers of 4 nodes, every node linked to the whole next layer: about
+    # 4**23 geodesics join the two end layers, and a node of layer l lies on
+    # a quarter of those of each of the (4l)(4(24 - l)) pairs around it
+    edges = [
+        (f"{layer}.{i}", f"{layer + 1}.{j}", 1)
+        for layer in range(24)
+        for i in range(4)
+        for j in range(4)
+    ]
+    scores = betweenness(ingest_edges(edges))
+    assert scores == {f"{layer}.{i}": 4 * layer * (24 - layer) for layer in range(25)
+                      for i in range(4)}
+    assert scores["12.0"] == 576
 
 
 def test_eigenvector(ex1, ex2):

@@ -381,6 +381,28 @@ def test_all_methods_on_bipartite_star(capsys, tmp_path):
     assert "# eigenvector\nnode,score,rank\nL,1.000000,1\nb,0.894427,2\na,0.447214,3\n" in out
 
 
+@pytest.mark.parametrize("edges", [[], [("a", "b", 5), ("b", "a", 5)]],
+                         ids=["header-only", "netted-away"])
+def test_all_methods_on_a_net_without_edges(capsys, tmp_path, edges):
+    # no edge is left: eigenvector scores 0 as in centrality_table, and
+    # random-mode sim on no nodes draws no seed set
+    write_edges_csv(tmp_path / "e.csv", edges)
+    code, out, err = _run(
+        capsys, "compute", "--edges", str(tmp_path / "e.csv"), "--method", "all",
+        "--q", "out-share:0.25", "--emit-matrices", "--seed", "1",
+    )
+    assert code == 0, err
+    sections = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    matrices = ["kbi", "sumpaths", "maxpath", "maxmin", "multt", "maxt", "sim"]
+    assert sections == [
+        "in-degree", "out-degree", "degree-difference", "degree", "closeness-in",
+        "closeness-out", "betweenness", "eigenvector", "pagerank",
+        *(name for method in matrices for name in (method, f"{method} matrix")),
+    ]
+    if edges:
+        assert "# eigenvector\nnode,score,rank\na,0.000000,1\nb,0.000000,1\n" in out
+
+
 def test_infeasible_policy_names_node(capsys, tmp_path):
     write_edges_csv(tmp_path / "e.csv", EX1_EDGES)
     (tmp_path / "attrs.csv").write_text("node,gdp\n1,1000\n", encoding="utf-8")
