@@ -20,10 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .network import ExposureNetwork, node_sort_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class CentralityTable:
 
 
 def _adjacency(net: ExposureNetwork) -> tuple[list[str], np.ndarray]:
+    import numpy as np
+
     nodes, index = list(net.nodes), net.index
     a = np.zeros((len(nodes), len(nodes)))
     for (src, dst), w in net.edges.items():
@@ -163,6 +167,8 @@ def eigenvector(
     matches the leading one in magnitude.  Without it, bipartite graphs,
     whose spectrum is symmetric about 0, make the iteration oscillate.
     """
+    import numpy as np
+
     nodes, a = _adjacency(net)
     if not net.edges:
         raise ValueError("eigenvector centrality needs at least one edge")
@@ -193,6 +199,8 @@ def pagerank(
     """Weighted directed PageRank, dangling mass spread uniformly, sum 1."""
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
+    import numpy as np
+
     nodes, a = _adjacency(net)
     n = len(nodes)
     if n == 0:

@@ -26,8 +26,6 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
-import numpy as np
-
 from .centrality import (
     _eigenvector_or_zeros,
     betweenness,
@@ -58,9 +56,9 @@ from .paths import (
     PATH_METHODS,
     GradeSchema,
     _fold_chains,
-    _influence_from_passes,
+    _influence_rows,
+    _weighted_scores,
     load_grade_schema,
-    weighted_vector,
 )
 from .ranking import comparison_matrix, gk_gamma, kendall_tau, rank
 from .simulation import (
@@ -251,9 +249,9 @@ def emit_report(scores: Mapping[str, float], fmt: str = "csv") -> bytes:
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def _matrix_csv(nodes: Sequence[str], values: np.ndarray) -> bytes:
-    lines = ["node," + ",".join(nodes)]
-    for node, row in zip(nodes, values.tolist()):
+def _matrix_csv(nodes: Sequence[str], values: list[list[float]]) -> bytes:
+    lines = [",".join(["node", *nodes])]
+    for node, row in zip(nodes, values):
         cells = ",".join([f"{value:.6f}" for value in row])
         lines.append(f"{node},{cells}")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -272,7 +270,7 @@ def _compute_one(
     policy: ThresholdPolicy | None,
     passes: Callable[[], dict[str, _LenderPass]],
     settings: dict,
-) -> tuple[dict[str, float], tuple[Sequence[str], np.ndarray] | None]:
+) -> tuple[dict[str, float], tuple[Sequence[str], list[list[float]]] | None]:
     if name == "in-degree":
         return degree_measures(net)[0], None
     if name == "out-degree":
@@ -312,7 +310,7 @@ def _compute_one(
         )
         matrix = simulate(net, policy, plan, settings["s"])
         vector = vector_from_simulation(net, matrix)
-        return vector, (matrix.nodes, matrix.values) if emit else None
+        return vector, (matrix.nodes, matrix.values.tolist()) if emit else None
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -323,7 +321,7 @@ def _path_results(
     passes: Callable[[], dict[str, _LenderPass]],
     schema: GradeSchema,
     settings: dict,
-) -> dict[str, tuple[dict[str, float], tuple[Sequence[str], np.ndarray] | None]]:
+) -> dict[str, tuple[dict[str, float], tuple[Sequence[str], list[list[float]]] | None]]:
     """Results of the named path methods, all from one fold over the chains.
 
     Run it after the other methods: its matrices would otherwise stay live
@@ -334,12 +332,13 @@ def _path_results(
         return {}
     if policy is None:
         raise ValueError(f"method {path_names[0]!r} needs a threshold policy (--q)")
-    matrices = _fold_chains(_influence_from_passes(net, passes()), settings["s"], schema)
+    direct = _influence_rows(net, passes())
+    matrices = _fold_chains(net.nodes, direct, settings["s"], schema)
     results = {}
     for name in path_names:
-        matrix = matrices[name]
-        emitted = (matrix.nodes, matrix.values) if settings["emit_matrices"] else None
-        results[name] = weighted_vector(net, matrix), emitted
+        values = matrices[name]
+        emitted = (net.nodes, values) if settings["emit_matrices"] else None
+        results[name] = _weighted_scores(net, net.nodes, values), emitted
     return results
 
 

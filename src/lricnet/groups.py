@@ -9,15 +9,12 @@ path-based influence matrix.
 
 from __future__ import annotations
 
-import functools
 import logging
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
-
-import numpy as np
 
 from .network import ExposureNetwork, ThresholdPolicy, out_strength, threshold
 
@@ -77,130 +74,70 @@ def pivotal_members(
     )
 
 
-# A lender's last BLOCK_BITS borrowers form a block: the 2^BLOCK_BITS subsets
-# of it that extend one set of earlier borrowers are enumerated together.
-BLOCK_BITS = 12
+def _slack(weights: list[float], floor: float) -> float:
+    """More than the rounding error of any sum of the loans `weights`, and
+    of its difference with one loan or with `floor`."""
+    return (len(weights) + 1) * (sum(weights) + abs(floor)) * 2.0**-49
 
 
-@functools.cache
-def _block_layout(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    # Block borrower t is bit bits-1-t of a subset's position, so among the
-    # subsets of one size descending positions are lexicographic order.
-    # `order` lists the positions by size, then descending, and the subsets
-    # of size c start at offsets[c] in it.  `sizes` and `members` follow
-    # `order`; row 2 + t of `members` marks the subsets holding block
-    # borrower t, row 0 none and row 1 all (the rows of earlier borrowers).
-    width = 1 << bits
-    sizes = np.zeros(width)
-    for t in range(bits):
-        step = width >> (t + 1)
-        sizes[step :: 2 * step] = sizes[:: 2 * step] + 1.0
-    order = np.empty(width, dtype=np.intp)
-    offsets = [0]
-    for size in range(bits + 1):
-        at = np.flatnonzero(sizes == size)[::-1]
-        order[offsets[-1] : offsets[-1] + len(at)] = at
-        offsets.append(offsets[-1] + len(at))
-    members = np.empty((bits + 2, width), dtype=bool)
-    members[0] = False
-    members[1] = True
-    for t in range(bits):
-        step = width >> (t + 1)
-        inside = np.zeros(width)
-        inside.reshape(-1, 2 * step)[:, step:] = 1.0
-        np.greater(inside.take(order), 0.0, out=members[2 + t])
-    return order, sizes.take(order), members, offsets
-
-
-def _blocks(
+def _groups(
     weights: list[float], floor: float, pivotal_only: bool, loose: bool = False
-) -> Iterator[tuple]:
+) -> Iterator[tuple[list[int], float]]:
     """Groups of the borrowers with loans `weights` (node order) whose total
     reaches `floor`; with `pivotal_only`, those with a pivotal member.
 
-    Yields one block per prefix, a set of borrowers before the last
-    BLOCK_BITS: ``(prefix size, bounds, (totals, sizes, members, pivotal))``
-    over the prefix's groups by size, then in lexicographic order.  Those of
-    size prefix size + c are columns ``bounds[c]:bounds[c + 1]``; `members`
-    and `pivotal` have a row per borrower.  Totals add the members' loans in
-    index order, one after another, as ``sum()`` over them does.
+    Yields ``(members, total)`` per group, in the preorder of a depth-first
+    search that takes borrowers in index order, so the groups of each size
+    come in lexicographic order.  `members` holds the indices in ascending
+    order; it is one list that the search goes on to change, so a caller
+    copies what it keeps.  `total` adds the members' loans in index order,
+    one after another, as ``sum()`` over them does.
 
-    Prefixes come from a depth-first search that skips one when (a) all the
+    The search skips a group and all its extensions (a) when all the
     borrowers after it cannot lift its total to `floor`, or, with
-    `pivotal_only`, when (b) its total without its largest member already
-    reaches `floor`: then no extension has a pivotal member.  Both cuts
-    give way by `slack`, which exceeds the rounding of any float sum here.
-    With `loose`, the pivotal filter of a block's groups gives way by
-    `slack` too, so it also keeps each group in which a member is pivotal
-    only when the total without it is summed anew.  A prefix's block
-    follows the blocks of its extensions, which keeps every size in
-    lexicographic order across blocks.
+    `pivotal_only`, (b) when its total without its largest member already
+    reaches `floor`: then no extension has a pivotal member.  Both cuts give
+    way by `slack`, which exceeds the rounding of any float sum here.  A
+    member is pivotal iff the largest one is, as ``total - w`` falls as w
+    grows.  With `loose`, the pivotal filter gives way by `slack` too, so it
+    also keeps each group in which a member is pivotal only when the total
+    without it is summed anew.
     """
     n = len(weights)
-    start = max(n - BLOCK_BITS, 0)
-    order, layout_sizes, layout_members, offsets = _block_layout(n - start)
     rest = [0.0] * (n + 1)  # rest[k]: the loans of borrowers k.. summed
     for k in range(n - 1, -1, -1):
         rest[k] = rest[k + 1] + weights[k]
-    slack = (n + 1) * (rest[0] + abs(floor)) * 2.0**-49
+    slack = _slack(weights, floor)
     reach, spill = floor - slack, floor + slack
-    pivot_floor = spill if loose else floor
-    if pivotal_only and spill <= 0:
+    if not pivotal_only:
+        spill = pivot_floor = math.inf  # neither cut (b) nor the filter applies
+    elif spill <= 0:
         return  # cut (b) already holds for every single borrower
-    loans = np.array(weights)[:, None]
-    steps = [(len(order) >> (t + 1), w) for t, w in enumerate(weights[start:])]
-    tops = np.zeros(len(order))  # each subset's largest loan, by position
-    for step, loan in steps:
-        below = tops[:: 2 * step]
-        tops[step :: 2 * step] = np.where(below > loan, below, loan)
-    tops = tops.take(order)
-    block_rows = list(range(2, 2 + n - start))
-    prefix: list[int] = []
-
-    def block(total: float, top: float) -> tuple | None:
-        sums = np.empty(len(order))  # each group's total, by position
-        sums[0] = total
-        for step, loan in steps:  # the highest index of a group comes last
-            np.add(sums[:: 2 * step], loan, out=sums[step :: 2 * step])
-        totals = sums.take(order)
-        if not prefix:
-            totals[0] = -np.inf  # the empty set is not a group
-        cols = np.flatnonzero(totals >= floor)
-        if pivotal_only:
-            # a member is pivotal iff the largest one is: x - w falls as w grows
-            largest = tops.take(cols)
-            largest = np.where(largest > top, largest, top)
-            cols = cols.take(np.flatnonzero(totals.take(cols) - largest < pivot_floor))
-        if not len(cols):
-            return None
-        totals = totals.take(cols)
-        chosen = set(prefix)
-        rows = [int(k in chosen) for k in range(start)] + block_rows
-        members = layout_members.take(cols, axis=1).take(rows, axis=0)
-        # a non-member leaves the total, which reaches the floor, as it is
-        rests = np.where(members, loans, 0.0)
-        pivotal = np.subtract(totals, rests, out=rests) < floor
-        listed = cols.tolist()
-        sizes = layout_sizes.take(cols) + len(prefix)
-        bounds = [bisect_left(listed, offset) for offset in offsets]
-        return len(prefix), bounds, (totals, sizes, members, pivotal)
-
-    def walk(first: int, total: float, largest: float) -> Iterator[tuple]:
-        for k in range(first, start):
-            if total + rest[k] < reach:
-                break
-            grown, top = total + weights[k], max(largest, weights[k])
-            if pivotal_only and grown - top >= spill:
-                continue
-            prefix.append(k)
-            yield from walk(k + 1, grown, top)
-            prefix.pop()
-        if total + rest[start] >= reach:
-            found = block(total, largest)
-            if found is not None:
-                yield found
-
-    yield from walk(0, 0.0, 0.0)
+    else:
+        pivot_floor = spill if loose else floor
+    members: list[int] = []
+    # the open group is `members`, its total and its largest loan, and k the
+    # next borrower to add; `parents` keeps the same for each shorter group
+    parents: list[tuple[int, float, float]] = []
+    k, total, largest = 0, 0.0, 0.0
+    while True:
+        if k == n or total + rest[k] < reach:
+            if not parents:
+                return
+            k, total, largest = parents.pop()
+            members.pop()
+            continue
+        loan = weights[k]
+        grown = total + loan
+        top = largest if largest > loan else loan
+        k += 1
+        if grown - top >= spill:
+            continue
+        members.append(k - 1)
+        if grown >= floor and grown - top < pivot_floor:
+            yield members, grown
+        parents.append((k, total, largest))
+        total, largest = grown, top
 
 
 def _non_dummies(weights: list[float], floor: float) -> list[int]:
@@ -211,40 +148,30 @@ def _non_dummies(weights: list[float], floor: float) -> list[int]:
     (Felsenthal & Machover, *The Measurement of Voting Power*, 1998): k is
     kept when some group reaches the floor and the group without k, summed
     anew left to right in index order, does not.  The ``total - w_k`` test
-    of :func:`_blocks` can round either way, so only the loose filter's
+    of :func:`_groups` can round either way, so only the loose filter's
     groups are read, and each member still uncovered is re-summed in every
-    one of them.  The search stops once every member is covered.
+    one of them unless ``total - w_k`` clears the floor by more than the
+    slack of :func:`_groups`, as then its re-summed rest reaches the floor
+    too.  The search stops once every member is covered.
     """
-    n = len(weights)
-    # row k: the loans with k's own as 0.0, which leaves a sum as it is
-    without = np.array(
-        [[0.0 if j == k else w for j, w in enumerate(weights)] for k in range(n)]
-    )
-    uncovered = np.arange(n)
-    for _, _, (_, _, members, _) in _blocks(weights, floor, True, loose=True):
-        # rests[u, g]: group g's loans without uncovered member u, summed in
-        # index order; for a non-member u that is g's total, which reaches
-        # the floor
-        rests = np.zeros((len(uncovered), members.shape[1]))
-        for j, inside in enumerate(members):
-            rests += np.where(inside, without[:, j, None], 0.0)
-        kept = ~(rests < floor).any(axis=1)
-        uncovered, without = uncovered[kept], without[kept]
-        if not len(uncovered):
+    spill = floor + _slack(weights, floor)
+    uncovered = set(range(len(weights)))
+    hardest = max(weights, default=0.0)  # the largest loan still uncovered
+    for members, total in _groups(weights, floor, True, loose=True):
+        if total - hardest >= spill:
+            continue  # total - w grows as w falls: no uncovered k is pivotal
+        for k in uncovered.intersection(members):
+            if total - weights[k] < spill:
+                rest = 0.0
+                for j in members:
+                    if j != k:
+                        rest += weights[j]
+                if rest < floor:
+                    uncovered.remove(k)
+        if not uncovered:
             break
-    return sorted(set(range(n)) - set(uncovered.tolist()))
-
-
-def _in_size_order(parts: Iterable[tuple], n: int) -> Iterator[tuple]:
-    """``(payload, a, b)`` for each ``(prefix size, bounds, payload)`` part
-    and each of its group sizes: by size, then in part order."""
-    by_size: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for size, bounds, payload in parts:
-        for c in range(len(bounds) - 1):
-            if bounds[c] < bounds[c + 1]:
-                by_size[size + c].append((payload, bounds[c], bounds[c + 1]))
-    for chunks in by_size:
-        yield from chunks
+        hardest = max([weights[k] for k in uncovered])
+    return [k for k in range(len(weights)) if k not in uncovered]
 
 
 def _search_input(
@@ -276,21 +203,20 @@ def _enumerate(
     if found is None:
         return []
     borrowers, weights, floor = found
-    groups: list[CriticalGroup] = []
-    blocks = _blocks(weights, floor, pivotal_only)
-    for (totals, _, members, pivotal), a, b in _in_size_order(blocks, len(borrowers)):
-        for total, inside, pivots in zip(
-            totals[a:b].tolist(), members[:, a:b].T.tolist(), pivotal[:, a:b].T.tolist()
-        ):
-            groups.append(
-                CriticalGroup(
-                    lender=lender,
-                    members=frozenset(compress(borrowers, inside)),
-                    total=total,
-                    pivotal=frozenset(compress(borrowers, pivots)),
-                )
+    # preorder lists each size in lexicographic order; sizes come in turn
+    by_size: list[list[CriticalGroup]] = [[] for _ in range(len(borrowers) + 1)]
+    for members, total in _groups(weights, floor, pivotal_only):
+        by_size[len(members)].append(
+            CriticalGroup(
+                lender=lender,
+                members=frozenset([borrowers[k] for k in members]),
+                total=total,
+                pivotal=frozenset(
+                    [borrowers[k] for k in members if total - weights[k] < floor]
+                ),
             )
-    return groups
+        )
+    return [group for groups in by_size for group in groups]
 
 
 class _LenderPass(NamedTuple):
@@ -333,38 +259,45 @@ def _tally(
 ) -> _LenderPass:
     n = len(borrowers)
     scale = out_strength(net, lender)
-    # support[i, j] = min(a_ji, a_Lj), co-member j's reinforcement of i
-    rows = [
-        [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
-        for bi in borrowers
-    ]
-    supporters = [j for j in range(n) if any(row[j] for row in rows)]
-    support = np.array(rows)
-    loans = np.array(weights)
-    lowest = np.full(n, np.inf)  # pivotal totals are finite: a loan is finite
-    parts = []
+    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i;
+    # None when no co-member lends to i
+    support: list[list[float] | None] = []
+    for bi in borrowers:
+        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
+        support.append(row if any(row) else None)
+    lowest: list[float | None] = [None] * n
+    # per group size, each pivotal (member, term) pair in group order
+    who = [array("i") for _ in range(n + 1)]
+    terms = [array("d") for _ in range(n + 1)]
     groups = 0
-    for size, bounds, (totals, sizes, members, pivotal) in _blocks(weights, floor, True):
-        groups += len(totals)
-        at, who = np.nonzero(pivotal.T)  # (group, pivotal member), group by group
-        # co-members' reinforcement, added in index order; adding 0.0 for a
-        # non-member or a non-supporter leaves a sum as it is
-        reinforcement = np.zeros(len(who))
-        for j in supporters:
-            reinforcement += np.where(members[j].take(at), support[:, j].take(who), 0.0)
-        masses = ((loans.take(who) + reinforcement) / scale) / sizes.take(at)
-        np.minimum.at(lowest, who, totals.take(at))
-        listed = at.tolist()
-        bounds = [bisect_left(listed, bound) for bound in bounds]
-        # a copy of who frees the (group, member) pairs it is a view of
-        parts.append((size, bounds, (who.copy(), masses)))
+    for members, total in _groups(weights, floor, True):
+        groups += 1
+        size = len(members)
+        pivots, pivot_terms = who[size], terms[size]
+        for i in members:
+            loan = weights[i]
+            if total - loan >= floor:
+                continue
+            row = support[i]
+            if row is not None:
+                # co-members' reinforcement, added in index order; i's own
+                # entry is 0.0, which leaves the sum as it is
+                reinforcement = 0.0
+                for j in members:
+                    reinforcement += row[j]
+                loan += reinforcement
+            pivots.append(i)
+            pivot_terms.append((loan / scale) / size)
+            least = lowest[i]
+            if least is None or total < least:
+                lowest[i] = total
     # each borrower's mass adds its groups' terms one after another, in
     # group order: by size, then lexicographic
-    mass = np.zeros(n)
-    for (who, masses), a, b in _in_size_order(parts, n):
-        np.add.at(mass, who[a:b], masses[a:b])
-    min_totals = [None if t == np.inf else t for t in lowest.tolist()]
-    return _LenderPass(borrowers, weights, mass.tolist(), min_totals, groups)
+    mass = [0.0] * n
+    for members, masses in zip(who, terms):
+        for i, term in zip(members, masses):
+            mass[i] += term
+    return _LenderPass(borrowers, weights, mass, lowest, groups)
 
 
 def _lender_passes(

@@ -9,8 +9,6 @@ normalized per lender and aggregated across lenders by lending volume.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .groups import _lender_pass, _lender_passes, _LenderPass
 from .network import ExposureNetwork, ThresholdPolicy, out_strength
 
@@ -90,13 +88,15 @@ def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> di
     return scores
 
 
-def kbi_matrix(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> np.ndarray:
-    """Per-lender rows as a matrix over ``net.nodes``: entry (L, B) is B's score
-    for lender L; zero rows for nodes that do not lend."""
-    values = np.zeros((len(net.nodes), len(net.nodes)))
+def kbi_matrix(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> list[list[float]]:
+    """Per-lender rows as a matrix over ``net.nodes``, a list of rows: entry
+    (L, B) is B's score for lender L; zero rows for nodes that do not lend."""
+    n, index = len(net.nodes), net.index
+    values = [[0.0] * n for _ in range(n)]
     for lender, row in rows.items():
+        line = values[index[lender]]
         for borrower, share in row.items():
-            values[net.index[lender], net.index[borrower]] = share
+            line[index[borrower]] = share
     return values
 
 

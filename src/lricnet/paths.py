@@ -25,11 +25,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import _lender_passes, _LenderPass
 from .network import ExposureNetwork, ThresholdPolicy, _read_json, node_sort_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
 
@@ -164,36 +166,44 @@ class RhoPath:
 
 def influence_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatrix:
     """Direct influence: exposure over the smallest pivotal group total."""
-    return _influence_from_passes(net, _lender_passes(net, policy))
+    return _as_matrix(net.nodes, _influence_rows(net, _lender_passes(net, policy)), "paths")
 
 
-def _influence_from_passes(
-    net: ExposureNetwork, passes: dict[str, _LenderPass]
-) -> InfluenceMatrix:
+def _as_matrix(nodes: tuple[str, ...], rows: list[list[float]], variant: str) -> InfluenceMatrix:
+    import numpy as np
+
+    # reshape keeps a matrix over no node 0 x 0
+    values = np.array(rows, dtype=float).reshape(len(nodes), len(nodes))
+    return InfluenceMatrix(nodes=nodes, values=values, variant=variant)
+
+
+def _influence_rows(net: ExposureNetwork, passes: dict[str, _LenderPass]) -> list[list[float]]:
+    """The direct influence matrix over ``net.nodes``, as a list of rows."""
     # w / min(total) is the largest w / total: division by a positive
     # divisor is monotone in IEEE arithmetic
-    nodes, index = net.nodes, net.index
-    values = np.zeros((len(nodes), len(nodes)))
+    n, index = len(net.nodes), net.index
+    values = [[0.0] * n for _ in range(n)]
     for lender, found in passes.items():
-        i = index[lender]
+        row = values[index[lender]]
         for member, w, total in zip(found.borrowers, found.weights, found.min_totals):
             if total is not None:
-                values[i, index[member]] = w / total
-    return InfluenceMatrix(nodes=nodes, values=values, variant="paths")
+                row[index[member]] = w / total
+    return values
 
 
-def _successors(c: InfluenceMatrix) -> dict[int, list[int]]:
+def _successors(nodes: tuple[str, ...], values: list[list[float]]) -> dict[int, list[int]]:
     """succ[u] = nodes v directly influenced by u (i.e. c_{v,u} > 0), in node order.
 
     Node order is :func:`node_sort_key` order, whatever the order of
-    ``c.nodes``, so walks over these lists visit chains in the order that
+    `nodes`, so walks over these lists visit chains in the order that
     breaks grade-score ties.
     """
     succ: dict[int, list[int]] = {}
-    rows, cols = np.nonzero(c.values)
-    for v, u in zip(rows.tolist(), cols.tolist()):
-        succ.setdefault(u, []).append(v)
-    keys = [node_sort_key(v) for v in c.nodes]
+    for v, row in enumerate(values):
+        for u, c_vu in enumerate(row):
+            if c_vu:
+                succ.setdefault(u, []).append(v)
+    keys = [node_sort_key(v) for v in nodes]
     for targets in succ.values():
         targets.sort(key=keys.__getitem__)
     return succ
@@ -213,7 +223,8 @@ def simple_paths(
     limit = n - 1 if s is None else s
     if limit < 1 or si == ti:
         return []
-    succ = _successors(c)
+    values = c.values.tolist()
+    succ = _successors(c.nodes, values)
     out: list[RhoPath] = []
     path = [si]
     on_path = {si}
@@ -230,8 +241,7 @@ def simple_paths(
                     RhoPath(
                         nodes=tuple(c.nodes[k] for k in path),
                         influences=tuple(
-                            float(c.values[path[k + 1], path[k]])
-                            for k in range(len(path) - 1)
+                            values[path[k + 1]][path[k]] for k in range(len(path) - 1)
                         ),
                     )
                 )
@@ -329,22 +339,32 @@ def lric_paths_matrices(
     score is the one :func:`best_graded_path` picks: each entry equals
     ``aggregate_paths(simple_paths(...), method, schema, s)`` bit for bit.
     """
-    return _fold_chains(influence_matrix(net, policy), s, schema)
+    rows = _influence_rows(net, _lender_passes(net, policy))
+    return {
+        method: _as_matrix(net.nodes, values, f"paths:{method}")
+        for method, values in _fold_chains(net.nodes, rows, s, schema).items()
+    }
 
 
 def _fold_chains(
-    c: InfluenceMatrix, s: int | None, schema: GradeSchema | None
-) -> dict[str, InfluenceMatrix]:
+    nodes: tuple[str, ...],
+    c: list[list[float]],
+    s: int | None,
+    schema: GradeSchema | None,
+) -> dict[str, list[list[float]]]:
+    """The five long-range matrices, as lists of rows, of the direct
+    influence rows `c` over `nodes`."""
     schema = schema or FIVE_LEVEL
-    n = len(c.nodes)
+    n = len(nodes)
     s_eff = n - 1 if s is None else s
     m = schema.positive_grades
     # succ[u] = (v, c_vu, grade cost of the step u -> v as in path_score_v)
     succ: dict[int, list[tuple[int, float, int]]] = {}
-    for u, targets in _successors(c).items():
-        steps = [(v, float(c.values[v, u])) for v in targets]
-        succ[u] = [(v, c_vu, (s_eff + 1) ** (m - schema.grade(c_vu))) for v, c_vu in steps]
-    fold = {method: np.zeros((n, n)) for method in PATH_METHODS}
+    for u, targets in _successors(nodes, c).items():
+        succ[u] = [
+            (v, c[v][u], (s_eff + 1) ** (m - schema.grade(c[v][u]))) for v in targets
+        ]
+    fold = {method: [[0.0] * n for _ in range(n)] for method in PATH_METHODS}
     sums, maxpath, maxmin, multt, maxt = (fold[method] for method in PATH_METHODS)
     for j in range(n):
         total = [0.0] * n
@@ -381,19 +401,14 @@ def _fold_chains(
 
         if s_eff >= 1:
             walk(j, 1.0, math.inf, 0, 0)
-        # entry by entry: numpy's slice assignment would add its own code
-        # and buffers to the peak memory of a small run
         for i in range(n):
             if best_score[i] < math.inf:
-                sums[i, j] = min(1.0, total[i])
-                maxpath[i, j] = best_product[i]
-                maxmin[i, j] = best_weakest[i]
-                multt[i, j] = graded_product[i]
-                maxt[i, j] = graded_weakest[i]
-    return {
-        method: InfluenceMatrix(nodes=c.nodes, values=values, variant=f"paths:{method}")
-        for method, values in fold.items()
-    }
+                sums[i][j] = min(1.0, total[i])
+                maxpath[i][j] = best_product[i]
+                maxmin[i][j] = best_weakest[i]
+                multt[i][j] = graded_product[i]
+                maxt[i][j] = graded_weakest[i]
+    return fold
 
 
 def lric_paths_matrix(
@@ -424,13 +439,27 @@ def lric_paths_vector(
 
 def weighted_vector(net: ExposureNetwork, matrix: InfluenceMatrix) -> dict[str, float]:
     """Lending-volume-weighted aggregation of an influence matrix into scores."""
-    strengths = np.array([net.out_strengths[v] for v in matrix.nodes])
-    total = strengths.sum()
+    return _weighted_scores(net, matrix.nodes, matrix.values.tolist())
+
+
+def _weighted_scores(
+    net: ExposureNetwork, nodes: tuple[str, ...], values: list[list[float]]
+) -> dict[str, float]:
+    """Column sums of the rows `values` over `nodes`, each row weighted by its
+    lender's share of all lending, normalized to sum 1.
+
+    Every sum is exact and rounded once (``math.fsum``), so the scores do not
+    depend on the order of the nodes and equal columns get equal scores.
+    """
+    strengths = [net.out_strengths[v] for v in nodes]
+    total = math.fsum(strengths)
     if total == 0:
-        return {v: 0.0 for v in matrix.nodes}
-    weights = strengths / total
-    totals = weights @ matrix.values
-    mass = totals.sum()
+        return {v: 0.0 for v in nodes}
+    weights = [strength / total for strength in strengths]
+    totals = [
+        math.fsum([w * row[j] for w, row in zip(weights, values)]) for j in range(len(nodes))
+    ]
+    mass = math.fsum(totals)
     if mass > 0:
-        totals = totals / mass
-    return dict(zip(matrix.nodes, totals.tolist()))
+        totals = [t / mass for t in totals]
+    return dict(zip(nodes, totals))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .network import node_sort_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ def comparison_matrix(
         func = gk_gamma
     else:
         raise ValueError(f"coefficient must be 'tau' or 'gamma', got {coefficient!r}")
+    import numpy as np
+
     names = tuple(rankings)
     matrix = np.ones((len(names), len(names)))
     for i in range(len(names)):

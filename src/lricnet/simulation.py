@@ -28,12 +28,14 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import DEFAULT_ENUMERATION_CAP, TOL, _non_dummies
 from .network import ExposureNetwork, ThresholdPolicy, threshold
-from .paths import InfluenceMatrix, weighted_vector
+from .paths import InfluenceMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +95,8 @@ def share_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatr
     Rows of nodes with no outgoing exposure are zero: they have no threshold
     and cannot cascade-default.
     """
+    import numpy as np
+
     nodes, index = net.nodes, net.index
     values = np.zeros((len(nodes), len(nodes)))
     quotas = {v: threshold(net, policy, v) for v in nodes}
@@ -125,12 +129,14 @@ class _CascadeEngine:
     *support* is the union of its inclusion-minimal groups among its
     defaulted borrowers (cached per lender and defaulted borrower set), and
     a lender is credited to the non-redundant seeds it reaches over support
-    edges, seeds being sinks.  Supports come from the pivotal-group block
-    enumerator that serves KBI, under its 25-member cap.  The counters
-    feed the debug line of `simulate`.
+    edges, seeds being sinks.  Supports come from the depth-first
+    pivotal-group enumerator that serves KBI, under its 25-member cap.  The
+    counters feed the debug line of `simulate`.
     """
 
     def __init__(self, values: np.ndarray, stage_limit: int | None = None) -> None:
+        import numpy as np
+
         self.values = values
         self.stage_limit = stage_limit
         # per lender, its (borrower, share) pairs in index order; per
@@ -402,6 +408,8 @@ def simulate(
     runs seeding j without i.  Columns of nodes that were never sampled are
     NaN (undefined, as opposed to "no influence"); the diagonal is 0.
     """
+    import numpy as np
+
     shares = share_matrix(net, policy)
     n = len(shares.nodes)
     engine = _CascadeEngine(shares.values, stage_limit=s)
@@ -455,6 +463,8 @@ def vector_from_simulation(
     Rejects matrices with NaN cells: an undefined influence must not be
     silently averaged as zero.
     """
+    import numpy as np
+
     undefined = [
         matrix.nodes[j]
         for j in range(len(matrix.nodes))
@@ -465,7 +475,18 @@ def vector_from_simulation(
             f"influence of {undefined} undefined: never sampled without every "
             f"affected lender; increase runs"
         )
-    return weighted_vector(net, matrix)
+    # numpy's sums, not the exact ones of the path methods: exact sums
+    # change the last digit of some reports
+    strengths = np.array([net.out_strengths[v] for v in matrix.nodes])
+    total = strengths.sum()
+    if total == 0:
+        return {v: 0.0 for v in matrix.nodes}
+    weights = strengths / total
+    totals = weights @ matrix.values
+    mass = totals.sum()
+    if mass > 0:
+        totals = totals / mass
+    return dict(zip(matrix.nodes, totals.tolist()))
 
 
 def lric_sim_vector(

@@ -143,12 +143,18 @@ def test_random_sim_seed_determinism(capsys, ex1_csv, tmp_path):
     assert first == second
 
 
-def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
+def _child_env():
+    """The environment of a child Python that imports this lricnet."""
     package_root = str(Path(lricnet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
+    env = _child_env()
     cli = "import sys; from lricnet.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = [
         "compute", "--edges", ex1_csv, "--q", "out-share:0.25", "--method", "sim",
@@ -169,15 +175,35 @@ def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
 KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matrices")
 
 
+@pytest.mark.parametrize("method, imported", [("kbi,maxpath", False), ("eigenvector", True)])
+def test_numpy_is_imported_only_by_the_methods_that_need_it(ex1_csv, method, imported):
+    # KBI and the path methods are scalar work; eigenvector needs matrices
+    probe = (
+        "import sys, lricnet, lricnet.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "code = lricnet.cli.main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["compute", "--edges", ex1_csv, *KBI_AND_PATH[:2], "--method", method,
+            "--emit-matrices"]
+    child = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=_child_env(), capture_output=True, timeout=60, check=True,
+    )
+    assert child.stdout.startswith(f"# {method.split(',')[0]}\n".encode())
+    assert child.stderr == f"{imported}\n".encode()
+
+
 def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, monkeypatch):
     searched = []
-    search = groups_module._blocks
+    search = groups_module._groups
 
     def counted(*args, **kwargs):
         searched.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(groups_module, "_blocks", counted)
+    monkeypatch.setattr(groups_module, "_groups", counted)
     code, _, _ = _run(capsys, "compute", "--edges", ex1_csv, *KBI_AND_PATH)
     assert code == 0
     lenders = [v for v in ex1.nodes if out_strength(ex1, v) != 0]
@@ -218,13 +244,13 @@ def test_enumeration_cap_is_checked_before_any_lender_is_walked(
     edges = [("A", "b0", 1), ("A", "b1", 1)] + [("L", f"b{i}", 1) for i in range(26)]
     path = str(write_edges_csv(tmp_path / "wide.csv", edges))
     searched = []
-    search = groups_module._blocks
+    search = groups_module._groups
 
     def counted(*args, **kwargs):
         searched.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(groups_module, "_blocks", counted)
+    monkeypatch.setattr(groups_module, "_groups", counted)
     code, out, err = _run(
         capsys, "compute", "--edges", path, "--q", "out-share:0.5", "--method", "kbi"
     )
@@ -401,6 +427,10 @@ def test_all_methods_on_a_net_without_edges(capsys, tmp_path, edges):
     ]
     if edges:
         assert "# eigenvector\nnode,score,rank\na,0.000000,1\nb,0.000000,1\n" in out
+    else:
+        # a matrix over no node is its header alone, like a score section
+        for method in matrices:
+            assert f"# {method} matrix\nnode\n" in out
 
 
 def test_infeasible_policy_names_node(capsys, tmp_path):

@@ -344,7 +344,7 @@ def test_pivotal_pass_matches_group_list_oracle():
 
 
 def _reference_candidates(weights, floor, pivotal_only):
-    """A candidate-list search, kept as the oracle of the block enumerator:
+    """A candidate-list search, kept as the oracle of the group enumerator:
     a depth-first search in descending weight with cuts (a) and (b), which
     lists the index tuples of each size that may be critical (and pivotal)."""
     n = len(weights)
@@ -469,10 +469,9 @@ def _wide_lender(rng, trial, n):
 
 
 def test_pivotal_pass_matches_candidate_oracle_across_blocks():
-    # 13 to 20 borrowers: the first ones are walked as prefixes, each with a
-    # block of the last twelve
+    # 13 to 20 borrowers: wider lenders than the power-set oracle can check
     rng = random.Random(1813)
-    multi_block = checked = 0
+    spanning = checked = 0
     for trial in range(48):
         n = rng.randint(13, 20)
         net, policy = _wide_lender(rng, trial, n)
@@ -491,9 +490,9 @@ def test_pivotal_pass_matches_candidate_oracle_across_blocks():
             # few groups reach a high threshold, pivotal member or not
             expected_groups = _reference_groups(net, "L", policy, pivotal_only=False)
             assert critical_groups(net, "L", policy) == expected_groups, context
-        multi_block += any(len(g.members) > 1 and "b0" in g.members for g in expected_groups)
+        spanning += any(len(g.members) > 1 and "b0" in g.members for g in expected_groups)
     assert checked > 40
-    assert multi_block > 20  # groups that mix prefix and block borrowers
+    assert spanning > 20  # groups that join the first borrower to later ones
 
 
 def test_critical_groups_match_power_set_across_blocks():
@@ -507,8 +506,8 @@ def test_critical_groups_match_power_set_across_blocks():
 
 
 def test_pivotal_pass_memory_at_the_cap():
-    # 25 borrowers, the cap: the pass holds one block and the pivotal terms
-    # it found, less than the candidate lists of the oracle search
+    # 25 borrowers, the cap: the pass holds the search path and the pivotal
+    # terms it found, less than the candidate lists of the oracle search
     rng = random.Random(25)
     net = ingest_edges([("L", f"b{i}", rng.randint(1, 100)) for i in range(25)])
     policy = OutShareQuota(0.1)

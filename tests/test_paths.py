@@ -8,6 +8,7 @@ Matrix-level oracles use the exact fractions instead.
 
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lricnet import (
     FIVE_LEVEL,
     ExposureNetwork,
     GradeSchema,
+    InfluenceMatrix,
     OutShareQuota,
     RhoPath,
     aggregate_paths,
@@ -33,6 +35,7 @@ from lricnet import (
     simple_paths,
     weighted_vector,
 )
+from lricnet.cli import emit_report
 from lricnet.paths import PATH_METHODS
 
 # five chains from node 5 to node 1 of the bow-tie fixture
@@ -207,10 +210,79 @@ def test_vector_normalization(ex2, quarter):
 
 def test_weighted_vector_zero_lending():
     net = ingest_edges([("a", "b", 0)])
-    from lricnet import InfluenceMatrix
-
     matrix = InfluenceMatrix(nodes=net.nodes, values=np.zeros((2, 2)), variant="paths")
     assert weighted_vector(net, matrix) == {"a": 0.0, "b": 0.0}
+
+
+def _lending_net(rng, n):
+    """Integer loans among nodes 0..n-1, every node a lender, in a random
+    record order; and the records."""
+    records = [(str(a), str(b), rng.randint(1, 100)) for a in range(n) for b in range(n)
+               if a != b and rng.random() < 0.4]
+    records += [(str(a), str((a + 1) % n), 1) for a in range(n)]
+    rng.shuffle(records)
+    return ingest_edges(records), records
+
+
+def _random_matrix(rng, nodes):
+    rows = [[rng.choice([0.0, rng.random(), rng.uniform(0, 1e-9)]) for _ in nodes]
+            for _ in nodes]
+    return InfluenceMatrix(nodes=nodes, values=np.array(rows), variant="paths")
+
+
+def test_weighted_vector_is_the_exact_sum_of_the_rounded_products():
+    rng = random.Random(77)
+    for trial in range(30):
+        net, _ = _lending_net(rng, rng.randint(2, 12))
+        matrix = _random_matrix(rng, net.nodes)
+        strengths = [net.out_strengths[v] for v in net.nodes]
+        total = float(sum(Fraction(s) for s in strengths))
+        weights = [s / total for s in strengths]
+        values = matrix.values.tolist()
+        columns = [
+            float(sum(Fraction(w * row[j]) for w, row in zip(weights, values)))
+            for j in range(len(net.nodes))
+        ]
+        mass = float(sum(Fraction(c) for c in columns))
+        expected = {v: c / mass for v, c in zip(net.nodes, columns)}
+        assert weighted_vector(net, matrix) == expected, trial
+
+
+def test_weighted_vector_does_not_depend_on_node_labels():
+    rng = random.Random(78)
+    for trial in range(30):
+        n = rng.randint(2, 12)
+        net, records = _lending_net(rng, n)
+        # new ids in another node order; the records keep their order, so
+        # each lender's strength is summed alike
+        names = dict(zip(map(str, range(n)), rng.sample([f"x{k}" for k in range(n)], n)))
+        renamed = ingest_edges([(names[a], names[b], w) for a, b, w in records])
+        matrix = _random_matrix(rng, net.nodes)
+        at = [net.index[v] for v in sorted(net.nodes, key=lambda v: renamed.index[names[v]])]
+        permuted = InfluenceMatrix(
+            nodes=renamed.nodes, values=matrix.values[np.ix_(at, at)], variant="paths"
+        )
+        scores = weighted_vector(net, matrix)
+        relabeled = weighted_vector(renamed, permuted)
+        assert {names[v]: x for v, x in scores.items()} == relabeled, trial
+
+
+def test_equal_columns_tie_exactly_and_share_a_rank():
+    rng = random.Random(79)
+    net, _ = _lending_net(rng, 9)
+    matrix = _random_matrix(rng, net.nodes)
+    values = matrix.values.copy()
+    values[:, 6] = values[:, 1]
+    values[:, 1] += 1e-3  # the best column: node 1 ranks alone, first
+    values[:, 3] = values[:, 6]
+    scores = weighted_vector(net, InfluenceMatrix(net.nodes, values, "paths"))
+    a, b = net.nodes[3], net.nodes[6]
+    assert scores[a] == scores[b]
+    ranks = {
+        line.split(",")[0]: line.split(",")[2]
+        for line in emit_report(scores).decode().splitlines()[1:]
+    }
+    assert ranks[a] == ranks[b]
 
 
 def test_unknown_method_rejected(ex1, quarter):

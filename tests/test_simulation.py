@@ -561,7 +561,7 @@ def _near_floor_rows(count, sizes):
     "count, sizes",
     [
         (10_000, range(2, 8)),
-        # rows past the 12 borrowers of one block, walked in several
+        # wider rows, whose groups lie deeper in the search
         (30, range(13, 15)),
     ],
 )
