@@ -13,6 +13,11 @@ Conventions here are pinned to reproduce the reference result tables:
   is 0 for every node of a net with no edge;
 * PageRank is the weighted directed walk with uniform dangling
   redistribution.
+
+Every measure works on the network's own views (strengths, edges, borrower
+lists) or on adjacency lists built from them, in plain Python.  The sums of
+each eigenvector and PageRank step are exact and rounded once
+(``math.fsum``), so the scores do not depend on the order of the nodes.
 """
 
 from __future__ import annotations
@@ -20,12 +25,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .network import ExposureNetwork, node_sort_key
-
-if TYPE_CHECKING:
-    import numpy as np
+from .network import ExposureNetwork
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,16 @@ class CentralityTable:
     pagerank: dict[str, float]
 
 
-def _adjacency(net: ExposureNetwork) -> tuple[list[str], np.ndarray]:
-    import numpy as np
-
-    nodes, index = list(net.nodes), net.index
-    a = np.zeros((len(nodes), len(nodes)))
-    for (src, dst), w in net.edges.items():
-        a[index[src], index[dst]] = w
-    return nodes, a
-
-
 def degree_measures(net: ExposureNetwork) -> tuple[dict, dict, dict, dict]:
     """(in-strength, out-strength, out minus in, in plus out) per node."""
-    nodes, a = _adjacency(net)
-    win = a.sum(axis=0)
-    wout = a.sum(axis=1)
+    # float(): the strength of a node without loans is the int 0
+    win = {v: float(net.in_strengths[v]) for v in net.nodes}
+    wout = {v: float(net.out_strengths[v]) for v in net.nodes}
     return (
-        dict(zip(nodes, win.tolist())),
-        dict(zip(nodes, wout.tolist())),
-        dict(zip(nodes, (wout - win).tolist())),
-        dict(zip(nodes, (wout + win).tolist())),
+        win,
+        wout,
+        {v: wout[v] - win[v] for v in net.nodes},
+        {v: wout[v] + win[v] for v in net.nodes},
     )
 
 
@@ -166,24 +157,30 @@ def eigenvector(
     and raises every eigenvalue by 1, so no eigenvalue of opposite sign
     matches the leading one in magnitude.  Without it, bipartite graphs,
     whose spectrum is symmetric about 0, make the iteration oscillate.
+    Each entry of a step is the exact sum of its products, rounded once.
     """
-    import numpy as np
-
-    nodes, a = _adjacency(net)
     if not net.edges:
         raise ValueError("eigenvector centrality needs at least one edge")
-    s = a + a.T + np.eye(len(nodes))
-    v = np.ones(len(nodes))
-    residual = float("inf")
+    nodes, index = net.nodes, net.index
+    # the nonzero entries of each row of A + Aᵀ + I
+    sym: list[dict[int, float]] = [{i: 1.0} for i in range(len(nodes))]
+    for (src, dst), w in net.edges.items():
+        i, j = index[src], index[dst]
+        sym[i][j] = sym[i].get(j, 0.0) + w
+        sym[j][i] = sym[j].get(i, 0.0) + w
+    rows = [list(entries.items()) for entries in sym]
+    v = [1.0] * len(nodes)
+    residual = math.inf
     for _ in range(max_iter):
-        nv = s @ v
-        norm = np.abs(nv).max()
+        nv = [math.fsum([s * v[j] for j, s in row]) for row in rows]
+        norm = max(map(abs, nv))
         if norm == 0:
             raise ValueError("eigenvector iteration collapsed to zero")
-        nv = nv / norm
-        residual = np.abs(nv - v).max()
+        nv = [x / norm for x in nv]
+        residual = max([abs(x - y) for x, y in zip(nv, v)])
         if residual < tol:
-            return dict(zip(nodes, (nv / nv.max()).tolist()))
+            top = max(nv)
+            return {node: x / top for node, x in zip(nodes, nv)}
         v = nv
     raise ValueError(f"eigenvector iteration did not converge (residual {residual:.3e})")
 
@@ -196,29 +193,37 @@ def _eigenvector_or_zeros(net: ExposureNetwork) -> dict[str, float]:
 def pagerank(
     net: ExposureNetwork, damping: float = 0.85, tol: float = 1e-12
 ) -> dict[str, float]:
-    """Weighted directed PageRank, dangling mass spread uniformly, sum 1."""
+    """Weighted directed PageRank, dangling mass spread uniformly, sum 1.
+
+    Every sum of a step is exact and rounded once.
+    """
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    import numpy as np
-
-    nodes, a = _adjacency(net)
+    nodes, index = net.nodes, net.index
     n = len(nodes)
     if n == 0:
         return {}
-    strength = a.sum(axis=1)
-    dangling = strength == 0
-    p = np.zeros_like(a)
-    if (~dangling).any():
-        p[~dangling] = a[~dangling] / strength[~dangling, None]
-    v = np.ones(n) / n
+    strength = [net.out_strengths[v] for v in nodes]
+    # per borrower, its lenders and the share of their lending it holds
+    inflow: list[list[tuple[int, float]]] = [[] for _ in nodes]
+    for (src, dst), w in net.edges.items():
+        i = index[src]
+        inflow[index[dst]].append((i, w / strength[i]))
+    dangling = [i for i, total in enumerate(strength) if total == 0]
+    teleport = (1 - damping) / n
+    v = [1.0 / n] * n
     for _ in range(100_000):
-        nv = (1 - damping) / n + damping * (p.T @ v) + damping * v[dangling].sum() / n
-        if np.abs(nv - v).sum() < tol:
-            v = nv
-            break
+        spread = damping * math.fsum([v[i] for i in dangling]) / n
+        nv = [
+            teleport + damping * math.fsum([p * v[i] for i, p in lenders]) + spread
+            for lenders in inflow
+        ]
+        step = math.fsum([abs(x - y) for x, y in zip(nv, v)])
         v = nv
-    v = v / v.sum()
-    return dict(zip(nodes, v.tolist()))
+        if step < tol:
+            break
+    total = math.fsum(v)
+    return {node: x / total for node, x in zip(nodes, v)}
 
 
 def centrality_table(net: ExposureNetwork) -> CentralityTable:

@@ -60,15 +60,15 @@ from .paths import (
     _weighted_scores,
     load_grade_schema,
 )
-from .ranking import comparison_matrix, gk_gamma, kendall_tau, rank
+from .ranking import _comparison_rows, gk_gamma, kendall_tau, rank
 from .simulation import (
     SimulationPlan,
+    _cascade_trace,
     _CascadeEngine,
     _credits,
-    cascade,
-    share_matrix,
-    simulate,
-    vector_from_simulation,
+    _share_rows,
+    _sim_scores,
+    _simulate_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -308,9 +308,8 @@ def _compute_one(
                 else None
             ),
         )
-        matrix = simulate(net, policy, plan, settings["s"])
-        vector = vector_from_simulation(net, matrix)
-        return vector, (matrix.nodes, matrix.values.tolist()) if emit else None
+        rows = _simulate_rows(net, policy, plan, settings["s"])
+        return _sim_scores(net, net.nodes, rows), (net.nodes, rows) if emit else None
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -413,16 +412,16 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
         raise ValueError("--q is required")
     net = _build_network(settings)
     policy = parse_policy(settings["q"])
-    shares = share_matrix(net, policy)
+    shares = _share_rows(net, policy)
     initial = frozenset(
         x.strip() for x in str(settings["initial"]).split(",") if x.strip()
     )
-    trace = cascade(shares, initial, settings["s"])
+    trace = _cascade_trace(net.nodes, shares, initial, settings["s"])
     print(f"initial: {_format_nodes(trace.initial)}")
     for stage_no, stage in enumerate(trace.stages, start=1):
         print(f"stage {stage_no}: {_format_nodes(stage)}")
     print(f"defaulted: {_format_nodes(trace.defaulted)}")
-    engine = _CascadeEngine(shares.values, stage_limit=settings["s"])
+    engine = _CascadeEngine(shares, stage_limit=settings["s"])
     credits = _credits(engine, frozenset(net.index[v] for v in initial))
     for node in sorted(trace.defaulted - trace.initial, key=node_sort_key):
         causes = (net.nodes[j] for j in credits[net.index[node]])
@@ -462,10 +461,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         shown = "undefined" if math.isnan(value) else f"{value:.6f}"
         print(f"{args.coefficient}: {shown}")
         return 0
-    names, matrix = comparison_matrix(rankings, args.coefficient)
+    names, rows = _comparison_rows(rankings, args.coefficient)
     print("ranking," + ",".join(names))
-    for i, name in enumerate(names):
-        cells = ",".join(f"{matrix[i, j]:.6f}" for j in range(len(names)))
+    for name, row in zip(names, rows):
+        cells = ",".join(f"{value:.6f}" for value in row)
         print(f"{name},{cells}")
     return 0
 

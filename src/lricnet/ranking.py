@@ -97,18 +97,25 @@ def comparison_matrix(
     Returns the names (insertion order) and a symmetric matrix with unit
     diagonal; `coefficient` is "tau" or "gamma".
     """
+    import numpy as np
+
+    names, rows = _comparison_rows(rankings, coefficient)
+    return names, np.array(rows, dtype=float).reshape(len(names), len(names))
+
+
+def _comparison_rows(
+    rankings: Mapping[str, Ranking | Mapping[str, int]], coefficient: str
+) -> tuple[tuple[str, ...], list[list[float]]]:
+    """:func:`comparison_matrix` as a list of rows."""
     if coefficient == "tau":
         func = kendall_tau
     elif coefficient == "gamma":
         func = gk_gamma
     else:
         raise ValueError(f"coefficient must be 'tau' or 'gamma', got {coefficient!r}")
-    import numpy as np
-
     names = tuple(rankings)
-    matrix = np.ones((len(names), len(names)))
+    rows = [[1.0] * len(names) for _ in names]
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            value = func(rankings[names[i]], rankings[names[j]])
-            matrix[i, j] = matrix[j, i] = value
-    return names, matrix
+            rows[i][j] = rows[j][i] = func(rankings[names[i]], rankings[names[j]])
+    return names, rows

@@ -18,6 +18,11 @@ default suffices to sink the target are always credited.  Each node's solo
 cascade is run once and kept: it settles most redundancy checks, and
 without a stage cap a cascade of several seeds starts from the union of
 their solo closures.
+
+The share and simulated matrices are lists of rows inside this module; only
+the public :func:`share_matrix` and :func:`simulate` turn them into numpy
+arrays.  The simulation index sums exactly, like the path methods
+(:func:`lricnet.paths.weighted_vector`).
 """
 
 from __future__ import annotations
@@ -28,14 +33,10 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from .groups import DEFAULT_ENUMERATION_CAP, TOL, _non_dummies
 from .network import ExposureNetwork, ThresholdPolicy, threshold
-from .paths import InfluenceMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
+from .paths import InfluenceMatrix, _as_matrix, _weighted_scores
 
 logger = logging.getLogger(__name__)
 
@@ -95,21 +96,25 @@ def share_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatr
     Rows of nodes with no outgoing exposure are zero: they have no threshold
     and cannot cascade-default.
     """
-    import numpy as np
+    return _as_matrix(net.nodes, _share_rows(net, policy), "shares")
 
-    nodes, index = net.nodes, net.index
-    values = np.zeros((len(nodes), len(nodes)))
-    quotas = {v: threshold(net, policy, v) for v in nodes}
+
+def _share_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> list[list[float]]:
+    """The share matrix over ``net.nodes``, as a list of rows."""
+    n, index = len(net.nodes), net.index
+    rows = [[0.0] * n for _ in range(n)]
+    quotas = {v: threshold(net, policy, v) for v in net.nodes}
     for (lender, borrower), w in net.edges.items():
         q = quotas[lender]
         if q is None:
             continue
-        values[index[lender], index[borrower]] = 1.0 if w >= q - TOL else w / q
-    return InfluenceMatrix(nodes=nodes, values=values, variant="shares")
+        rows[index[lender]][index[borrower]] = 1.0 if w >= q - TOL else w / q
+    return rows
 
 
 class _CascadeEngine:
-    """Cascades and attribution over the share matrix, with memoization.
+    """Cascades and attribution over the rows of a share matrix, with
+    memoization.
 
     All sets are frozensets of node indices.  A cascade stage looks only at
     the surviving lenders of the nodes that defaulted in the stage before
@@ -134,26 +139,23 @@ class _CascadeEngine:
     counters feed the debug line of `simulate`.
     """
 
-    def __init__(self, values: np.ndarray, stage_limit: int | None = None) -> None:
-        import numpy as np
-
-        self.values = values
+    def __init__(self, rows: list[list[float]], stage_limit: int | None = None) -> None:
+        self.rows = rows
         self.stage_limit = stage_limit
         # per lender, its (borrower, share) pairs in index order; per
         # borrower, its lenders
         self._shares: list[list[tuple[int, float]]] = []
         self._borrowers: list[frozenset[int]] = []
-        self._lenders: list[list[int]] = [[] for _ in values]
-        for i, row in enumerate(values):
-            cols = np.flatnonzero(row).tolist()
-            pairs = list(zip(cols, row[cols].tolist()))
+        self._lenders: list[list[int]] = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            pairs = [(k, share) for k, share in enumerate(row) if share]
             self._shares.append(pairs)
             self._borrowers.append(frozenset(k for k, share in pairs if share > 0))
-            for k in cols:
+            for k, _ in pairs:
                 self._lenders[k].append(i)
         # a negative share breaks monotonicity, and with it both shortcuts;
         # a stage cap breaks the first, as the union may be stages ahead
-        self._monotone = not (values < 0).any()
+        self._monotone = not any(share < 0 for pairs in self._shares for _, share in pairs)
         self._from_solo = self._monotone and stage_limit is None
         self._solo: dict[int, frozenset[int]] = {}
         self._support: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
@@ -227,14 +229,14 @@ class _CascadeEngine:
         if cached is not None:
             self.support_hits += 1
             return cached
-        row = self.values[lender]
+        row = self.rows[lender]
         members = sorted(k for k in present if row[k] > 0)
         if len(members) > DEFAULT_ENUMERATION_CAP:
             raise ValueError(
                 f"attribution for a lender with {len(members)} defaulted "
                 f"borrowers exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
-        found = _non_dummies(row[members].tolist(), 1 - TOL)
+        found = _non_dummies([row[k] for k in members], 1 - TOL)
         cached = self._support[key] = frozenset(members[k] for k in found)
         return cached
 
@@ -293,16 +295,26 @@ def cascade(
     already-defaulted borrowers sum to at least 1.  `s` caps the number of
     stages; None runs to the fixpoint.
     """
+    return _cascade_trace(c.nodes, c.values.tolist(), initial, s)
+
+
+def _cascade_trace(
+    nodes: tuple[str, ...],
+    rows: list[list[float]],
+    initial: frozenset[str] | set[str],
+    s: int | None,
+) -> CascadeTrace:
+    """:func:`cascade` over the share rows `rows` of `nodes`."""
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    index = {v: k for k, v in enumerate(c.nodes)}
+    index = {v: k for k, v in enumerate(nodes)}
     try:
         seed_idx = frozenset(index[v] for v in initial)
     except KeyError as exc:
         raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    engine = _CascadeEngine(c.values, stage_limit=s)
+    engine = _CascadeEngine(rows, stage_limit=s)
     stages = tuple(
-        frozenset(c.nodes[k] for k in stage) for stage in engine.stages(seed_idx)
+        frozenset(nodes[k] for k in stage) for stage in engine.stages(seed_idx)
     )
     return CascadeTrace(initial=frozenset(initial), stages=stages, stage_limit=s)
 
@@ -329,7 +341,7 @@ def pivotal_initiators(
     target = index[defaulted_node]
     if target in seed_idx:
         return frozenset({defaulted_node})
-    credits = _credits(_CascadeEngine(c.values, stage_limit=s), seed_idx)
+    credits = _credits(_CascadeEngine(c.values.tolist(), stage_limit=s), seed_idx)
     if target not in credits:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"
@@ -408,18 +420,25 @@ def simulate(
     runs seeding j without i.  Columns of nodes that were never sampled are
     NaN (undefined, as opposed to "no influence"); the diagonal is 0.
     """
-    import numpy as np
+    return _as_matrix(net.nodes, _simulate_rows(net, policy, plan, s), "simulated")
 
-    shares = share_matrix(net, policy)
-    n = len(shares.nodes)
-    engine = _CascadeEngine(shares.values, stage_limit=s)
+
+def _simulate_rows(
+    net: ExposureNetwork,
+    policy: ThresholdPolicy,
+    plan: SimulationPlan,
+    s: int | None,
+) -> list[list[float]]:
+    """The matrix of :func:`simulate`, as a list of rows."""
+    n = len(net.nodes)
+    engine = _CascadeEngine(_share_rows(net, policy), stage_limit=s)
     # integer counts, converted once at the end; together[j][j] counts the
     # runs seeding j
     credits = [[0] * n for _ in range(n)]  # by seed, then lender
     together = [[0] * n for _ in range(n)]
     solo = [engine.solo(j) for j in range(n)]
     runs = 0
-    for seed_set in _seed_sets(plan, shares.nodes):
+    for seed_set in _seed_sets(plan, net.nodes):
         runs += 1
         for i in seed_set:
             row = together[i]
@@ -445,14 +464,16 @@ def simulate(
         runs, n, engine.cascades, engine.cache_hits, engine.solo_witnesses,
         len(engine._support), engine.support_hits,
     )
-    # reshape keeps an empty network's matrices 0 x 0
-    paired = np.array(together, dtype=float).reshape(n, n)
-    # runs seeding j without i
-    sampled = np.diagonal(paired)[None, :] - paired
-    with np.errstate(invalid="ignore"):
-        values = np.array(credits, dtype=float).reshape(n, n).T / sampled
-    np.fill_diagonal(values, 0.0)
-    return InfluenceMatrix(nodes=shares.nodes, values=values, variant="simulated")
+    # frequencies over the runs seeding j without i, NaN where there is none
+    values = [[math.nan] * n for _ in range(n)]
+    for j, seeded in enumerate(together):
+        row = credits[j]
+        for i in range(n):
+            runs_without = seeded[j] - seeded[i]
+            if runs_without:
+                values[i][j] = row[i] / runs_without
+        values[j][j] = 0.0
+    return values
 
 
 def vector_from_simulation(
@@ -461,32 +482,23 @@ def vector_from_simulation(
     """Lending-weighted column sums of a simulated matrix, normalized to 1.
 
     Rejects matrices with NaN cells: an undefined influence must not be
-    silently averaged as zero.
+    silently averaged as zero.  The sums are the exact ones of the path
+    methods (:func:`lricnet.paths.weighted_vector`).
     """
-    import numpy as np
+    return _sim_scores(net, matrix.nodes, matrix.values.tolist())
 
-    undefined = [
-        matrix.nodes[j]
-        for j in range(len(matrix.nodes))
-        if np.isnan(matrix.values[:, j]).any()
-    ]
+
+def _sim_scores(
+    net: ExposureNetwork, nodes: tuple[str, ...], rows: list[list[float]]
+) -> dict[str, float]:
+    """:func:`vector_from_simulation` of the rows `rows` over `nodes`."""
+    undefined = [v for j, v in enumerate(nodes) if any(math.isnan(row[j]) for row in rows)]
     if undefined:
         raise ValueError(
             f"influence of {undefined} undefined: never sampled without every "
             f"affected lender; increase runs"
         )
-    # numpy's sums, not the exact ones of the path methods: exact sums
-    # change the last digit of some reports
-    strengths = np.array([net.out_strengths[v] for v in matrix.nodes])
-    total = strengths.sum()
-    if total == 0:
-        return {v: 0.0 for v in matrix.nodes}
-    weights = strengths / total
-    totals = weights @ matrix.values
-    mass = totals.sum()
-    if mass > 0:
-        totals = totals / mass
-    return dict(zip(matrix.nodes, totals.tolist()))
+    return _weighted_scores(net, nodes, rows)
 
 
 def lric_sim_vector(
@@ -496,4 +508,4 @@ def lric_sim_vector(
     s: int | None = None,
 ) -> dict[str, float]:
     """Final simulation index: lending-weighted column sums, normalized to 1."""
-    return vector_from_simulation(net, simulate(net, policy, plan, s))
+    return _sim_scores(net, net.nodes, _simulate_rows(net, policy, plan, s))

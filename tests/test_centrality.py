@@ -7,10 +7,12 @@ with uniform dangling mass).  Betweenness is also checked against a
 reference that lists every fewest-hop path and sums exact fractions.
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lricnet import (
@@ -249,3 +251,107 @@ def test_centrality_table_collects_everything(ex1):
 def test_centrality_is_deterministic(ex2):
     assert eigenvector(ex2) == eigenvector(ex2)
     assert pagerank(ex2) == pagerank(ex2)
+
+
+# The dense-matrix bodies that eigenvector, PageRank and the degree measures
+# had before they moved to adjacency lists and exact sums, kept as oracles.
+
+
+def _numpy_adjacency(net):
+    nodes, index = list(net.nodes), net.index
+    a = np.zeros((len(nodes), len(nodes)))
+    for (src, dst), w in net.edges.items():
+        a[index[src], index[dst]] = w
+    return nodes, a
+
+
+def _numpy_degree_measures(net):
+    nodes, a = _numpy_adjacency(net)
+    win = a.sum(axis=0)
+    wout = a.sum(axis=1)
+    return (
+        dict(zip(nodes, win.tolist())),
+        dict(zip(nodes, wout.tolist())),
+        dict(zip(nodes, (wout - win).tolist())),
+        dict(zip(nodes, (wout + win).tolist())),
+    )
+
+
+def _numpy_eigenvector(net, tol=1e-10, max_iter=100_000):
+    nodes, a = _numpy_adjacency(net)
+    s = a + a.T + np.eye(len(nodes))
+    v = np.ones(len(nodes))
+    for _ in range(max_iter):
+        nv = s @ v
+        nv = nv / np.abs(nv).max()
+        if np.abs(nv - v).max() < tol:
+            return dict(zip(nodes, (nv / nv.max()).tolist()))
+        v = nv
+    raise AssertionError("oracle did not converge")
+
+
+def _numpy_pagerank(net, damping=0.85, tol=1e-12):
+    nodes, a = _numpy_adjacency(net)
+    n = len(nodes)
+    strength = a.sum(axis=1)
+    dangling = strength == 0
+    p = np.zeros_like(a)
+    if (~dangling).any():
+        p[~dangling] = a[~dangling] / strength[~dangling, None]
+    v = np.ones(n) / n
+    for _ in range(100_000):
+        nv = (1 - damping) / n + damping * (p.T @ v) + damping * v[dangling].sum() / n
+        if np.abs(nv - v).sum() < tol:
+            v = nv
+            break
+        v = nv
+    v = v / v.sum()
+    return dict(zip(nodes, v.tolist()))
+
+
+def _oracle_nets(count):
+    """Seeded nets of 2-14 nodes, each ordered pair an edge with probability
+    0.3 (both directions may stay), with integer weights in [1, 100] or
+    float weights in [0.01, 100); every net has an edge."""
+    rng = random.Random(20261019)
+    for k in range(count):
+        n = rng.randint(2, 14)
+        records = [
+            (str(a), str(b), rng.randint(1, 100) if k % 2 else rng.uniform(0.01, 100.0))
+            for a in range(n)
+            for b in range(n)
+            if a != b and rng.random() < 0.3
+        ]
+        yield ingest_edges(records or [("0", "1", 1)])
+
+
+def _close(got, want):
+    assert got.keys() == want.keys()
+    for v in want:
+        assert math.isclose(got[v], want[v], rel_tol=1e-12), (v, got[v], want[v])
+
+
+def test_classical_measures_match_the_dense_matrix_oracle():
+    for net in _oracle_nets(200):
+        win, wout, wdiff, wdeg = degree_measures(net)
+        o_win, o_wout, o_wdiff, o_wdeg = _numpy_degree_measures(net)
+        _close(win, o_win)
+        _close(wout, o_wout)
+        _close(wdeg, o_wdeg)
+        # out minus in cancels, so it is held to the scale of its terms
+        for v in net.nodes:
+            assert abs(wdiff[v] - o_wdiff[v]) <= 1e-12 * wdeg[v], v
+        _close(eigenvector(net), _numpy_eigenvector(net))
+        _close(pagerank(net), _numpy_pagerank(net))
+
+
+def test_eigenvector_and_pagerank_do_not_depend_on_node_labels():
+    rng = random.Random(20261020)
+    for net in _oracle_nets(60):
+        n = len(net.nodes)
+        names = dict(zip(net.nodes, rng.sample([f"x{k}" for k in range(n)], n)))
+        # the edges keep their order, so each lender's strength is summed alike
+        renamed = ingest_edges([(names[a], names[b], w) for (a, b), w in net.edges.items()])
+        for measure in (eigenvector, pagerank):
+            scores = measure(net)
+            assert {names[v]: x for v, x in scores.items()} == measure(renamed), measure

@@ -22,7 +22,7 @@ from lricnet import (
     pivotal_groups,
 )
 from lricnet import groups as groups_module
-from lricnet.cli import emit_report, parse_policy, run
+from lricnet.cli import METHOD_ORDER, POLICY_METHODS, emit_report, parse_policy, run
 
 
 @pytest.fixture
@@ -175,9 +175,9 @@ def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
 KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matrices")
 
 
-@pytest.mark.parametrize("method, imported", [("kbi,maxpath", False), ("eigenvector", True)])
-def test_numpy_is_imported_only_by_the_methods_that_need_it(ex1_csv, method, imported):
-    # KBI and the path methods are scalar work; eigenvector needs matrices
+def _numpy_loaded(argv):
+    """Run ``lric-net`` on `argv` in a fresh process: its output, and
+    whether numpy was imported by its end."""
     probe = (
         "import sys, lricnet, lricnet.cli\n"
         "assert 'numpy' not in sys.modules\n"
@@ -185,14 +185,44 @@ def test_numpy_is_imported_only_by_the_methods_that_need_it(ex1_csv, method, imp
         "print('numpy' in sys.modules, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    argv = ["compute", "--edges", ex1_csv, *KBI_AND_PATH[:2], "--method", method,
-            "--emit-matrices"]
     child = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env=_child_env(), capture_output=True, timeout=60, check=True,
     )
-    assert child.stdout.startswith(f"# {method.split(',')[0]}\n".encode())
-    assert child.stderr == f"{imported}\n".encode()
+    assert child.stderr in (b"True\n", b"False\n"), child.stderr
+    return child.stdout.decode(), child.stderr == b"True\n"
+
+
+@pytest.mark.parametrize("method, imported", [("kbi,maxpath", False), ("all", False)])
+def test_numpy_is_imported_only_by_the_methods_that_need_it(ex1_csv, method, imported):
+    # every method works on lists of rows; only the library functions that
+    # return arrays import numpy
+    argv = ["compute", "--edges", ex1_csv, *KBI_AND_PATH[:2], "--method", method,
+            "--sim-mode", "exhaustive", "--k0-max", "2", "--emit-matrices"]
+    out, loaded = _numpy_loaded(argv)
+    names = METHOD_ORDER if method == "all" else method.split(",")
+    expected = []
+    for name in names:
+        expected += [f"# {name}", f"# {name} matrix"] if name in POLICY_METHODS else [f"# {name}"]
+    assert [line for line in out.splitlines() if line.startswith("# ")] == expected
+    assert loaded is imported
+
+
+def test_cascade_and_compare_leave_numpy_unloaded(ex1_csv, tmp_path):
+    files = [
+        _score_file(tmp_path / f"{name}.csv", scores)
+        for name, scores in (
+            ("a", {"x": 3.0, "y": 2.0, "z": 1.0}),
+            ("b", {"x": 1.0, "y": 2.0, "z": 3.0}),
+            ("c", {"x": 3.0, "y": 1.0, "z": 2.0}),
+        )
+    ]
+    out, loaded = _numpy_loaded(
+        ["cascade", "--edges", ex1_csv, "--q", "out-share:0.25", "--initial", "10"]
+    )
+    assert out.startswith("initial: 10\n") and not loaded
+    out, loaded = _numpy_loaded(["compare", "--rankings", *files])
+    assert out.startswith("ranking,a,b,c\n") and not loaded
 
 
 def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, monkeypatch):

@@ -7,6 +7,7 @@ the production code is the point, so resist deduplicating them.
 """
 
 import logging
+import math
 import random
 from itertools import combinations
 
@@ -25,9 +26,11 @@ from lricnet import (
     pivotal_initiators,
     share_matrix,
     simulate,
+    threshold,
     vector_from_simulation,
 )
-from lricnet.simulation import _CascadeEngine
+from lricnet.cli import emit_report
+from lricnet.simulation import _CascadeEngine, _seed_sets
 
 TOL = 1e-9
 
@@ -352,7 +355,7 @@ def test_engine_matches_brute_force_on_random_nets():
 def test_frontier_stages_match_dense_stages_on_random_nets():
     for net, policy, s in _random_cases(150):
         values = share_matrix(net, policy).values
-        engine = _CascadeEngine(values, stage_limit=s)
+        engine = _CascadeEngine(values.tolist(), stage_limit=s)
         n = len(values)
         for size in range(1, min(3, n) + 1):
             for seed in map(frozenset, combinations(range(n), size)):
@@ -370,7 +373,7 @@ def test_redundancy_through_two_seeds_together():
     c = share_matrix(net, Absolute({"x": 2, "L": 2}))
     seeds = {"x", "y", "z"}
     assert pivotal_initiators(c, "L", seeds) == frozenset({"y"})
-    engine = _CascadeEngine(c.values)
+    engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
     attr = engine.attributions(frozenset(index[v] for v in seeds))
     assert attr[index["L"]] == frozenset({index["y"]})
@@ -394,7 +397,7 @@ def test_negative_share_disables_solo_witness():
 def test_solo_witness_settles_redundancy(ex1, quarter):
     # 10's solo cascade sinks 7, so 7 is redundant in {7, 10} without a
     # re-cascade of {10}
-    engine = _CascadeEngine(share_matrix(ex1, quarter).values)
+    engine = _CascadeEngine(share_matrix(ex1, quarter).values.tolist())
     index = {v: k for k, v in enumerate(ex1.nodes)}
     engine.attributions(frozenset({index["7"], index["10"]}))
     assert engine.solo_witnesses == 1
@@ -437,7 +440,7 @@ def test_redundant_seed_passes_no_credit():
     net = ingest_edges([("x", "y", 1), ("x", "z", 1), ("L", "x", 2)])
     c = share_matrix(net, Absolute({"x": 2, "L": 2}))
     assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x"})
-    engine = _CascadeEngine(c.values)
+    engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
     attr = engine.attributions(frozenset(index[v] for v in ("x", "y", "z")))
     assert attr == {index["L"]: frozenset()}
@@ -448,7 +451,7 @@ def test_all_redundant_seeds_keep_solo_credit(quarter):
     # lends to x alone, still falls to either seed's solo cascade
     net = ingest_edges([("x", "y", 1), ("y", "x", 1), ("L", "x", 1)])
     c = share_matrix(net, quarter)
-    engine = _CascadeEngine(c.values)
+    engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
     assert engine.attributions(frozenset({index["x"], index["y"]})) == {
         index["L"]: frozenset()
@@ -492,9 +495,9 @@ def _minimal_union(row, present):
 def _row_support(shares):
     """The engine's support of a lender whose borrowers, all defaulted,
     hold `shares` in index order."""
-    values = np.zeros((len(shares) + 1, len(shares) + 1))
-    values[0, 1:] = shares
-    engine = _CascadeEngine(values)
+    rows = [[0.0] * (len(shares) + 1) for _ in range(len(shares) + 1)]
+    rows[0][1:] = shares
+    engine = _CascadeEngine(rows)
     found = engine.support(0, frozenset(range(1, len(shares) + 1)))
     return sorted(k - 1 for k in found)
 
@@ -507,7 +510,7 @@ def test_supports_match_power_set_on_random_nets():
     checked = 0
     for net, policy, s in _random_cases(150):
         values = share_matrix(net, policy).values
-        engine = _CascadeEngine(values, stage_limit=s)
+        engine = _CascadeEngine(values.tolist(), stage_limit=s)
         n = len(values)
         for size in range(1, min(3, n) + 1):
             for seed in map(frozenset, combinations(range(n), size)):
@@ -594,3 +597,140 @@ def test_support_of_many_equal_shares():
     # group; a subset-by-subset search visits some 2^18 sets
     share = 1 / (0.6 * 18)
     assert _row_support([share] * 18) == list(range(18))
+
+
+# The numpy bodies that share_matrix, simulate and vector_from_simulation
+# had before they moved to lists of rows, kept as oracles.
+
+
+def _numpy_share_matrix(net, policy):
+    nodes, index = net.nodes, net.index
+    values = np.zeros((len(nodes), len(nodes)))
+    quotas = {v: threshold(net, policy, v) for v in nodes}
+    for (lender, borrower), w in net.edges.items():
+        q = quotas[lender]
+        if q is None:
+            continue
+        values[index[lender], index[borrower]] = 1.0 if w >= q - TOL else w / q
+    return InfluenceMatrix(nodes=nodes, values=values, variant="shares")
+
+
+def _numpy_simulate(net, policy, plan, s=None):
+    shares = _numpy_share_matrix(net, policy)
+    n = len(shares.nodes)
+    engine = _CascadeEngine(shares.values.tolist(), stage_limit=s)
+    credits = [[0] * n for _ in range(n)]
+    together = [[0] * n for _ in range(n)]
+    solo = [engine.solo(j) for j in range(n)]
+    for seed_set in _seed_sets(plan, shares.nodes):
+        for i in seed_set:
+            row = together[i]
+            for j in seed_set:
+                row[j] += 1
+        _, reached = engine.reach(seed_set)
+        for j, seen in reached.items():
+            row, alone = credits[j], solo[j]
+            for i in seen:
+                if i not in alone:
+                    row[i] += 1
+    for j, alone in enumerate(solo):
+        row, seeded = credits[j], together[j]
+        for i in alone:
+            if i != j:
+                row[i] += seeded[j] - seeded[i]
+    paired = np.array(together, dtype=float).reshape(n, n)
+    sampled = np.diagonal(paired)[None, :] - paired
+    with np.errstate(invalid="ignore"):
+        values = np.array(credits, dtype=float).reshape(n, n).T / sampled
+    np.fill_diagonal(values, 0.0)
+    return InfluenceMatrix(nodes=shares.nodes, values=values, variant="simulated")
+
+
+def _numpy_vector_from_simulation(net, matrix):
+    if np.isnan(matrix.values).any():
+        raise ValueError("undefined")
+    strengths = np.array([net.out_strengths[v] for v in matrix.nodes])
+    total = strengths.sum()
+    if total == 0:
+        return {v: 0.0 for v in matrix.nodes}
+    weights = strengths / total
+    totals = weights @ matrix.values
+    mass = totals.sum()
+    if mass > 0:
+        totals = totals / mass
+    return dict(zip(matrix.nodes, totals.tolist()))
+
+
+def _oracle_plans(k):
+    """Exhaustive plans, and random ones short enough to leave some
+    columns NaN."""
+    if k % 2:
+        return SimulationPlan(mode="exhaustive", k0_max=1 + k % 3)
+    return SimulationPlan(mode="random", runs=1 + k % 12, k0_max=1 + k % 4, seed=k)
+
+
+def test_simulation_matches_the_numpy_oracle():
+    undefined = 0
+    for k, (net, policy, s) in enumerate(_random_cases(240)):
+        plan = _oracle_plans(k)
+        expected = _numpy_simulate(net, policy, plan, s)
+        got = simulate(net, policy, plan, s)
+        assert isinstance(got.values, np.ndarray)
+        assert np.array_equal(got.values, expected.values, equal_nan=True), (net.edges, s)
+        assert np.array_equal(
+            share_matrix(net, policy).values, _numpy_share_matrix(net, policy).values
+        )
+        try:
+            want = _numpy_vector_from_simulation(net, expected)
+        except ValueError:
+            undefined += 1
+            with pytest.raises(ValueError, match="undefined"):
+                vector_from_simulation(net, got)
+            continue
+        vector = vector_from_simulation(net, got)
+        assert vector.keys() == want.keys()
+        for v in want:
+            assert math.isclose(vector[v], want[v], rel_tol=1e-12), (net.edges, v)
+    # both branches ran
+    assert 0 < undefined < 200
+
+
+def test_simulate_still_returns_an_array():
+    matrix = simulate(
+        ingest_edges([("a", "b", 1)]), OutShareQuota(0.25), SimulationPlan(mode="exhaustive")
+    )
+    assert isinstance(matrix.values, np.ndarray)
+    assert isinstance(share_matrix(ingest_edges([("a", "b", 1)]), OutShareQuota(0.25)).values,
+                      np.ndarray)
+
+
+def test_sim_vector_does_not_depend_on_node_labels():
+    rng = random.Random(20261021)
+    plan = SimulationPlan(mode="exhaustive", k0_max=2)
+    for k, (net, policy, s) in enumerate(_random_cases(60)):
+        n = len(net.nodes)
+        names = dict(zip(net.nodes, rng.sample([f"x{m}" for m in range(n)], n)))
+        # the edges keep their order, so each lender's strength is summed alike
+        renamed = ingest_edges([(names[a], names[b], w) for (a, b), w in net.edges.items()])
+        scores = lric_sim_vector(net, policy, plan, s)
+        assert {names[v]: x for v, x in scores.items()} == lric_sim_vector(
+            renamed, policy, plan, s
+        ), k
+
+
+def test_twin_borrowers_tie_exactly_and_share_a_rank():
+    # a's lenders p1-p3 and b's lenders q1-q3 lend the same amounts in
+    # another node order, each to its borrower alone, so each twin sinks
+    # its three lenders: their columns hold the same weights in other rows
+    amounts = (1, 2, 3)
+    records = [(f"p{k}", "a", amounts[k]) for k in range(3)]
+    records += [(f"q{k}", "b", amounts[(k + 1) % 3]) for k in range(3)]
+    net = ingest_edges(records)
+    plan = SimulationPlan(mode="exhaustive", k0_max=1)
+    scores = lric_sim_vector(net, OutShareQuota(0.25), plan)
+    assert scores["a"] == scores["b"] > 0
+    ranks = {
+        line.split(",")[0]: line.split(",")[2]
+        for line in emit_report(scores).decode().splitlines()[1:]
+    }
+    assert ranks["a"] == ranks["b"] == "1"
