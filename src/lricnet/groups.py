@@ -14,14 +14,15 @@ import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .network import ExposureNetwork, ThresholdPolicy, out_strength, threshold
 
 logger = logging.getLogger(__name__)
 
-# Absolute tolerance for q comparisons.  Exact boundary cases occur in real
-# inputs (a single loan equal to q), and must count as critical.
+# Relative tolerance of the threshold q (see `_floor`): exact boundary cases,
+# such as a single loan equal to q, must count as critical at any scale.
 TOL = 1e-9
 
 DEFAULT_ENUMERATION_CAP = 25
@@ -33,6 +34,27 @@ class CriticalGroup:
     members: frozenset[str]
     total: float
     pivotal: frozenset[str]
+
+
+def _floor(q: float) -> float:
+    """The least total of loans that reaches the threshold `q`."""
+    return q * (1 - TOL)
+
+
+def _reaches(loans: list[float], floor: float) -> bool:
+    """Whether the exact sum of `loans` reaches `floor`, in any order: ``math.fsum``
+    rounds it once (Shewchuk, DCG 18, 1997), so the sign is exact."""
+    return math.fsum([*loans, -floor]) >= 0
+
+
+def _band(loans: list[float], floor: float) -> tuple[float, float]:
+    """Bounds `low` < `floor` < `high`, off `floor` by 16 times the rounding
+    error of t, a float sum of some of `loans`: the exact sum is short of it
+    if t < low and reaches it if t >= high, and without a loan w it is short
+    if w > t - low and reaches it if w <= t - high (or t - w is compared
+    alike).  Only a case in between needs :func:`_reaches`."""
+    slack = (len(loans) + 1) * (math.fsum(map(abs, loans)) + abs(floor)) * 2.0**-49
+    return floor - slack, floor + slack
 
 
 def is_critical(
@@ -49,8 +71,7 @@ def is_critical(
     for member in group:
         if member not in borrowers:
             raise ValueError(f"{member!r} is not a direct borrower of {lender!r}")
-    total = sum(net.weight(lender, member) for member in group)
-    return total >= q - TOL
+    return _reaches([net.weight(lender, member) for member in group], _floor(q))
 
 
 def pivotal_members(
@@ -68,60 +89,44 @@ def pivotal_members(
         raise ValueError(f"group {sorted(group)} is not critical for {lender!r}")
     q = threshold(net, policy, lender)
     assert q is not None
-    total = sum(net.weight(lender, member) for member in group)
+    loans = {member: net.weight(lender, member) for member in group}
     return frozenset(
-        member for member in group if total - net.weight(lender, member) < q - TOL
+        m for m in loans if not _reaches([w for o, w in loans.items() if o != m], _floor(q))
     )
 
 
-def _slack(weights: list[float], floor: float) -> float:
-    """More than the rounding error of any sum of the loans `weights`, and
-    of its difference with one loan or with `floor`."""
-    return (len(weights) + 1) * (sum(weights) + abs(floor)) * 2.0**-49
-
-
 def _groups(
-    weights: list[float], floor: float, pivotal_only: bool, loose: bool = False
+    weights: list[float], floor: float, pivotal_only: bool
 ) -> Iterator[tuple[list[int], float]]:
     """Groups of the borrowers with loans `weights` (node order) whose total
-    reaches `floor`; with `pivotal_only`, those with a pivotal member.
+    reaches `floor`; with `pivotal_only`, those whose largest member is pivotal.
 
     Yields ``(members, total)`` per group, in the preorder of a depth-first
     search that takes borrowers in index order, so the groups of each size
     come in lexicographic order.  `members` holds the indices in ascending
     order; it is one list that the search goes on to change, so a caller
-    copies what it keeps.  `total` adds the members' loans in index order,
-    one after another, as ``sum()`` over them does.
+    copies what it keeps.  `total` is the rounded left-to-right sum of the
+    members' loans in index order, as ``sum()`` gives; decisions are exact.
 
     The search skips a group and all its extensions (a) when all the
     borrowers after it cannot lift its total to `floor`, or, with
     `pivotal_only`, (b) when its total without its largest member already
-    reaches `floor`: then no extension has a pivotal member.  Both cuts give
-    way by `slack`, which exceeds the rounding of any float sum here.  A
-    member is pivotal iff the largest one is, as ``total - w`` falls as w
-    grows.  With `loose`, the pivotal filter gives way by `slack` too, so it
-    also keeps each group in which a member is pivotal only when the total
-    without it is summed anew.
+    reaches `floor`: then no extension has a pivotal member.  A member is
+    pivotal iff the largest one is, as the total without w falls as w grows.
+    Each test compares a float sum with the :func:`_band` of the loans, and
+    cut (b) and the critical test call :func:`_reaches` inside it.
     """
     n = len(weights)
-    rest = [0.0] * (n + 1)  # rest[k]: the loans of borrowers k.. summed
-    for k in range(n - 1, -1, -1):
-        rest[k] = rest[k + 1] + weights[k]
-    slack = _slack(weights, floor)
-    reach, spill = floor - slack, floor + slack
-    if not pivotal_only:
-        spill = pivot_floor = math.inf  # neither cut (b) nor the filter applies
-    elif spill <= 0:
-        return  # cut (b) already holds for every single borrower
-    else:
-        pivot_floor = spill if loose else floor
+    rest = [*accumulate(reversed(weights), initial=0.0)][::-1]  # rest[k]: loans k..
+    low, high = _band(weights, floor)
+    cut = low if pivotal_only else math.inf  # no cut (b) without `pivotal_only`
     members: list[int] = []
     # the open group is `members`, its total and its largest loan, and k the
     # next borrower to add; `parents` keeps the same for each shorter group
     parents: list[tuple[int, float, float]] = []
     k, total, largest = 0, 0.0, 0.0
     while True:
-        if k == n or total + rest[k] < reach:
+        if k == n or total + rest[k] < low:
             if not parents:
                 return
             k, total, largest = parents.pop()
@@ -131,13 +136,26 @@ def _groups(
         grown = total + loan
         top = largest if largest > loan else loan
         k += 1
-        if grown - top >= spill:
+        if (spared := grown - top) >= cut and (
+            spared >= high
+            or _reaches([*[weights[j] for j in members], loan, -top], floor)
+        ):
             continue
         members.append(k - 1)
-        if grown >= floor and grown - top < pivot_floor:
+        if grown >= high or (grown >= low and _reaches([weights[j] for j in members], floor)):
             yield members, grown
         parents.append((k, total, largest))
         total, largest = grown, top
+
+
+def _pivots(
+    weights: list[float], members: list[int], total: float, floor: float, low: float, high: float
+) -> list[int]:
+    """The members of a critical group, float sum `total`, without whose loan it
+    falls short of `floor`; `low`, `high` is the :func:`_band` of `weights`."""
+    spare, short = total - high, total - low  # as inline in `_tally`
+    return [i for i in members if weights[i] > short or (weights[i] > spare
+            and not _reaches([weights[j] for j in members if j != i], floor))]
 
 
 def _non_dummies(weights: list[float], floor: float) -> list[int]:
@@ -145,29 +163,16 @@ def _non_dummies(weights: list[float], floor: float) -> list[int]:
     whose total reaches `floor`, by index.
 
     With non-negative loans these are the members pivotal in some group
-    (Felsenthal & Machover, *The Measurement of Voting Power*, 1998): k is
-    kept when some group reaches the floor and the group without k, summed
-    anew left to right in index order, does not.  The ``total - w_k`` test
-    of :func:`_groups` can round either way, so only the loose filter's
-    groups are read, and each member still uncovered is re-summed in every
-    one of them unless ``total - w_k`` clears the floor by more than the
-    slack of :func:`_groups`, as then its re-summed rest reaches the floor
-    too.  The search stops once every member is covered.
+    (Felsenthal & Machover, *The Measurement of Voting Power*, 1998).  The
+    search stops once every member is covered.
     """
-    spill = floor + _slack(weights, floor)
+    low, high = _band(weights, floor)
     uncovered = set(range(len(weights)))
     hardest = max(weights, default=0.0)  # the largest loan still uncovered
-    for members, total in _groups(weights, floor, True, loose=True):
-        if total - hardest >= spill:
+    for members, total in _groups(weights, floor, True):
+        if hardest <= total - high:
             continue  # total - w grows as w falls: no uncovered k is pivotal
-        for k in uncovered.intersection(members):
-            if total - weights[k] < spill:
-                rest = 0.0
-                for j in members:
-                    if j != k:
-                        rest += weights[j]
-                if rest < floor:
-                    uncovered.remove(k)
+        uncovered.difference_update(_pivots(weights, members, total, floor, low, high))
         if not uncovered:
             break
         hardest = max([weights[k] for k in uncovered])
@@ -177,8 +182,8 @@ def _non_dummies(weights: list[float], floor: float) -> list[int]:
 def _search_input(
     net: ExposureNetwork, lender: str, policy: ThresholdPolicy, cap: int
 ) -> tuple[tuple[str, ...], list[float], float] | None:
-    """The lender's borrowers in node order, their loans and the critical
-    floor q - TOL; None when the lender has no threshold."""
+    """The lender's borrowers in node order, their loans and the
+    :func:`_floor` of its threshold; None when the lender has no threshold."""
     q = threshold(net, policy, lender)
     if q is None:
         return None
@@ -189,7 +194,7 @@ def _search_input(
             f"enumeration is capped at {cap} (raise the cap or use the "
             f"simulation index)"
         )
-    return borrowers, [net.weight(lender, b) for b in borrowers], q - TOL
+    return borrowers, [net.weight(lender, b) for b in borrowers], _floor(q)
 
 
 def _enumerate(
@@ -203,17 +208,17 @@ def _enumerate(
     if found is None:
         return []
     borrowers, weights, floor = found
+    low, high = _band(weights, floor)
     # preorder lists each size in lexicographic order; sizes come in turn
     by_size: list[list[CriticalGroup]] = [[] for _ in range(len(borrowers) + 1)]
     for members, total in _groups(weights, floor, pivotal_only):
+        pivots = _pivots(weights, members, total, floor, low, high)
         by_size[len(members)].append(
             CriticalGroup(
                 lender=lender,
                 members=frozenset([borrowers[k] for k in members]),
                 total=total,
-                pivotal=frozenset(
-                    [borrowers[k] for k in members if total - weights[k] < floor]
-                ),
+                pivotal=frozenset([borrowers[k] for k in pivots]),
             )
         )
     return [group for groups in by_size for group in groups]
@@ -265,6 +270,7 @@ def _tally(
     for bi in borrowers:
         row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
         support.append(row if any(row) else None)
+    low, high = _band(weights, floor)
     lowest: list[float | None] = [None] * n
     # per group size, each pivotal (member, term) pair in group order
     who = [array("i") for _ in range(n + 1)]
@@ -274,9 +280,12 @@ def _tally(
         groups += 1
         size = len(members)
         pivots, pivot_terms = who[size], terms[size]
+        spare, short = total - high, total - low  # `_pivots`' test, inline
         for i in members:
             loan = weights[i]
-            if total - loan >= floor:
+            if loan <= spare or (
+                loan <= short and _reaches([weights[j] for j in members if j != i], floor)
+            ):
                 continue
             row = support[i]
             if row is not None:

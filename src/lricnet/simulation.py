@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groups import DEFAULT_ENUMERATION_CAP, TOL, _non_dummies
+from .groups import DEFAULT_ENUMERATION_CAP, _band, _floor, _non_dummies, _reaches
 from .network import ExposureNetwork, ThresholdPolicy, threshold
 from .paths import InfluenceMatrix, _as_matrix, _weighted_scores
 
@@ -108,7 +108,7 @@ def _share_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> list[list[floa
         q = quotas[lender]
         if q is None:
             continue
-        rows[index[lender]][index[borrower]] = 1.0 if w >= q - TOL else w / q
+        rows[index[lender]][index[borrower]] = 1.0 if w >= _floor(q) else w / q
     return rows
 
 
@@ -118,17 +118,18 @@ class _CascadeEngine:
 
     All sets are frozensets of node indices.  A cascade stage looks only at
     the surviving lenders of the nodes that defaulted in the stage before
-    (the frontier), summing each one's defaulted shares left to right in
-    borrower index order; no other lender's loss can have grown.
+    (the frontier); no other lender's loss can have grown.  Whether a loss
+    reaches 1 is decided exactly, by a float sum outside the lender's
+    :func:`lricnet.groups._band` (computed once) and an exact one inside.
 
     When no share is negative the cascade is monotone in its seed set (and
-    so is the rounded left-to-right sum of non-negative shares), which
-    gives two exact shortcuts.  Without a stage cap, a multi-seed cascade
-    starts from the union of its seeds' cached solo closures, all of it the
-    first frontier: the least fixpoint containing that union is the one
-    containing the seeds.  And a seed is redundant if another seed's solo
-    cascade already sinks it; only when no seed does is the seed set
-    re-cascaded without it.  Only solo cascades are kept.
+    so is that exact test), which gives two exact shortcuts.  Without a
+    stage cap, a multi-seed cascade starts from the union of its seeds'
+    cached solo closures, all of it the first frontier: the least fixpoint
+    containing that union is the one containing the seeds.  And a seed is
+    redundant if another seed's solo cascade already sinks it; only when no
+    seed does is the seed set re-cascaded without it.  Only solo cascades
+    are kept.
 
     The credit a cascaded lender passes on is reachability: each lender's
     *support* is the union of its inclusion-minimal groups among its
@@ -153,6 +154,7 @@ class _CascadeEngine:
             self._borrowers.append(frozenset(k for k, share in pairs if share > 0))
             for k, _ in pairs:
                 self._lenders[k].append(i)
+        self._bands = [_band([share for _, share in pairs], _floor(1.0)) for pairs in self._shares]
         # a negative share breaks monotonicity, and with it both shortcuts;
         # a stage cap breaks the first, as the union may be stages ahead
         self._monotone = not any(share < 0 for pairs in self._shares for _, share in pairs)
@@ -168,11 +170,9 @@ class _CascadeEngine:
         """The surviving lenders of `frontier` whose defaulted shares reach 1."""
         fresh = set()
         for i in {i for k in frontier for i in self._lenders[k]} - d:
-            loss = 0.0
-            for k, share in self._shares[i]:
-                if k in d:
-                    loss += share
-            if loss >= 1 - TOL:
+            losses = [share for k, share in self._shares[i] if k in d]
+            loss, (low, high) = sum(losses), self._bands[i]
+            if loss >= high or (loss >= low and _reaches(losses, _floor(1.0))):
                 fresh.add(i)
         return fresh
 
@@ -221,8 +221,8 @@ class _CascadeEngine:
 
         Only borrowers with a positive share count, so the sums are
         monotone, and the union is the set of members pivotal in some
-        critical group: those whose removal, the rest summed anew in index
-        order, drops the group's shares below 1 - TOL.
+        critical group: those without whose shares, summed exactly, the
+        group's shares fall short of 1 (:func:`lricnet.groups._pivots`).
         """
         key = (lender, present)
         cached = self._support.get(key)
@@ -236,7 +236,7 @@ class _CascadeEngine:
                 f"attribution for a lender with {len(members)} defaulted "
                 f"borrowers exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
-        found = _non_dummies([row[k] for k in members], 1 - TOL)
+        found = _non_dummies([row[k] for k in members], _floor(1.0))
         cached = self._support[key] = frozenset(members[k] for k in found)
         return cached
 

@@ -6,13 +6,19 @@ threshold; a member is pivotal when removing it breaks criticality) before
 being frozen here.
 """
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lricnet
 from lricnet import (
     Absolute,
     CriticalGroup,
@@ -29,11 +35,14 @@ from lricnet import (
     node_sort_key,
     out_strength,
     pivotal_groups,
+    pivotal_initiators,
     pivotal_members,
+    share_matrix,
     threshold,
 )
 from lricnet.groups import TOL, _lender_pass, _search_input
 from lricnet.kbi import kbi_rows
+from lricnet.simulation import _CascadeEngine, _share_rows
 
 # lender -> set of critical groups under the 25% quota
 EX2_CRITICAL_GROUPS = {
@@ -159,21 +168,34 @@ def test_enumeration_cap():
     assert {g.members for g in groups} == {frozenset(f"b{i}" for i in range(26))}
 
 
+def _units(values):
+    """The floats `values` as exact ints over their common power-of-two
+    denominator, so that int sums of them are exact rational sums."""
+    fractions = [Fraction(x) for x in values]
+    unit = max(f.denominator for f in fractions)
+    return [int(f * unit) for f in fractions]
+
+
 def _power_set_groups(net, lender, policy):
     """Every subset in size, then node order: the exhaustive enumeration the
-    pruned search must reproduce exactly."""
+    pruned search must reproduce exactly.  Each decision compares exact
+    rational sums with the floor q·(1 − TOL); the totals are the rounded
+    node-order sums."""
     q = threshold(net, policy, lender)
     if q is None:
         return []
     borrowers = net.borrowers_of(lender)
     weights = {b: net.weight(lender, b) for b in borrowers}
+    *units, floor = _units([*weights.values(), q * (1 - TOL)])
+    exact = dict(zip(borrowers, units))
     groups = []
     for size in range(1, len(borrowers) + 1):
         for combo in combinations(borrowers, size):
-            total = sum(weights[b] for b in combo)
-            if total < q - TOL:
+            whole = sum(exact[b] for b in combo)
+            if whole < floor:
                 continue
-            pivotal = frozenset(b for b in combo if total - weights[b] < q - TOL)
+            pivotal = frozenset(b for b in combo if whole - exact[b] < floor)
+            total = sum(weights[b] for b in combo)
             groups.append(CriticalGroup(lender, frozenset(combo), total, pivotal))
     return groups
 
@@ -211,12 +233,15 @@ def test_pruned_search_matches_power_set():
 
 
 def test_near_zero_quota_lists_every_nonempty_group():
-    # every subset reaches a threshold of 1e-12, but the empty set is no group
+    # every subset reaches a threshold of 1e-12, but the empty set is no
+    # group; the tolerance is relative, so each loan alone is pivotal
     net = ingest_edges([("L", "b0", 2.0), ("L", "b1", 0.5), ("L", "b2", 1.0)])
     policy = Absolute({"L": 1e-12})
     assert critical_groups(net, "L", policy) == _power_set_groups(net, "L", policy)
     assert len(critical_groups(net, "L", policy)) == 7
-    assert pivotal_groups(net, "L", policy) == []
+    assert [(g.members, g.pivotal) for g in pivotal_groups(net, "L", policy)] == [
+        (frozenset({b}), frozenset({b})) for b in ("b0", "b1", "b2")
+    ]
 
 
 def test_pivotal_member_beside_a_small_one():
@@ -230,6 +255,114 @@ def test_pivotal_member_beside_a_small_one():
         (frozenset({"b0", "b1"}), frozenset({"b0"})),
         (frozenset({"b1", "b2"}), frozenset({"b2"})),
     ]
+
+
+def test_pivots_follow_exact_sums_not_the_rounded_difference():
+    # any three of the loans fall short of q = 1 exactly, yet the rounded
+    # total less the largest loan reaches the floor
+    loans = [0.33333333299999995] * 3 + [0.333333333]
+    net = ingest_edges([("L", f"b{i}", w) for i, w in enumerate(loans)])
+    policy = Absolute({"L": 1.0})
+    names = frozenset(f"b{i}" for i in range(4))
+    assert [(g.members, g.pivotal) for g in critical_groups(net, "L", policy)] == [
+        (names, names)
+    ]
+    assert pivotal_members(net, "L", names, policy) == names
+    assert kbi_for_lender(net, "L", policy) == pytest.approx(dict.fromkeys(names, 0.25))
+    assert pivotal_initiators(share_matrix(net, policy), "L", names) == names
+
+
+HASH_SEED_SCRIPT = """
+import math
+from lricnet import Absolute, critical_groups, ingest_edges, is_critical
+from lricnet.groups import _floor
+net = ingest_edges([("L", "a", 0.1), ("L", "b", 0.2), ("L", "c", 0.3)])
+total = 0.1 + 0.2 + 0.3  # node order; 0.3 + 0.2 + 0.1 rounds lower
+q = total
+while _floor(q) < total:
+    q = math.nextafter(q, math.inf)
+assert _floor(q) == total
+policy = Absolute({"L": q})
+group = {"a", "b", "c"}
+print(list(group), is_critical(net, "L", group, policy),
+      [sorted(g.members) for g in critical_groups(net, "L", policy)])
+"""
+
+
+def test_is_critical_is_exact_under_any_hash_seed():
+    # the loans' node-order float sum equals the floor, but their exact sum
+    # falls short of it; a set-order sum would flip with the hash seed
+    package_root = str(Path(lricnet.__file__).resolve().parents[1])
+    outputs = []
+    for seed in (0, 2):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        outputs.append(done.stdout.split("] ", 1))
+    # the two seeds iterate the group in different orders
+    assert outputs[0][0] != outputs[1][0]
+    assert [verdict for _, verdict in outputs] == ["False []\n"] * 2
+
+
+def _relabeled(net, policy, names):
+    """`net` and `policy` with node v renamed to names[v]; the edges keep
+    their order, so each lender's strength and threshold are the same floats."""
+    renamed = ExposureNetwork(
+        nodes=tuple(sorted(names.values(), key=node_sort_key)),
+        edges={(names[a], names[b]): w for (a, b), w in net.edges.items()},
+    )
+    if isinstance(policy, Absolute):
+        policy = Absolute({names[v]: q for v, q in policy.quotas.items()})
+    return renamed, policy
+
+
+def test_groups_and_supports_do_not_depend_on_node_labels():
+    rng = random.Random(20261019)
+    changed_order = 0
+    for trial in [t for t in range(300) if t % 3]:  # float weights only
+        net, policy = _random_net(rng, trial)
+        names = dict(zip(net.nodes, rng.sample(NODE_IDS, len(net.nodes))))
+        renamed, renamed_policy = _relabeled(net, policy, names)
+        context = (trial, net.nodes, net.edges, policy, names)
+
+        def mapped(groups):
+            return {
+                (frozenset(names[v] for v in g.members), frozenset(names[v] for v in g.pivotal))
+                for g in groups
+            }
+
+        for lender in net.nodes:
+            for listing in (critical_groups, pivotal_groups):
+                assert mapped(listing(net, lender, policy)) == {
+                    (g.members, g.pivotal)
+                    for g in listing(renamed, names[lender], renamed_policy)
+                }, context
+            changed_order += [names[b] for b in net.borrowers_of(lender)] != list(
+                renamed.borrowers_of(names[lender])
+            )
+        engines = [
+            _CascadeEngine(_share_rows(n, p)) for n, p in ((net, policy), (renamed, renamed_policy))
+        ]
+        position = {renamed.index[names[v]]: v for v in net.nodes}
+        for i, lender in enumerate(net.nodes):
+            borrowers = [net.index[b] for b in net.borrowers_of(lender)]
+            for _ in range(4):
+                present = frozenset(k for k in borrowers if rng.random() < 0.7)
+                moved = frozenset(renamed.index[names[net.nodes[k]]] for k in present)
+                got = engines[1].support(renamed.index[names[lender]], moved)
+                assert {position[k] for k in got} == {
+                    net.nodes[k] for k in engines[0].support(i, present)
+                }, context
+    assert changed_order > 300  # relabeling reorders most lenders' borrowers
 
 
 def _reference_kbi_for_lender(net, lender, policy):
@@ -387,19 +520,32 @@ def _reference_candidates(weights, floor, pivotal_only):
     return by_size
 
 
+def _exact_pivots(units, floor, combo):
+    """The members of `combo` whose removal leaves the exact sum of the
+    rest below `floor`, all in :func:`_units`; None when the exact sum of
+    `combo` falls short."""
+    whole = sum([units[i] for i in combo])
+    if whole < floor:
+        return None
+    return [i for i in combo if whole - units[i] < floor]
+
+
 def _reference_groups(net, lender, policy, pivotal_only):
-    """``critical_groups`` / ``pivotal_groups`` from the candidate lists."""
+    """``critical_groups`` / ``pivotal_groups`` from the candidate lists,
+    decided by exact rational sums."""
     found = _search_input(net, lender, policy, 25)
     if found is None:
         return []
     borrowers, weights, floor = found
+    *units, exact_floor = _units([*weights, floor])
     groups = []
     for candidates in _reference_candidates(weights, floor, pivotal_only):
         for combo in candidates:
             total = sum([weights[i] for i in combo])
-            if total < floor:
+            pivots = _exact_pivots(units, exact_floor, combo)
+            if pivots is None:
                 continue
-            pivotal = frozenset([borrowers[i] for i in combo if total - weights[i] < floor])
+            pivotal = frozenset([borrowers[i] for i in pivots])
             if pivotal_only and not pivotal:
                 continue
             members = frozenset([borrowers[i] for i in combo])
@@ -408,11 +554,13 @@ def _reference_groups(net, lender, policy, pivotal_only):
 
 
 def _reference_lender_pass(net, lender, policy):
-    """``_lender_pass`` group by group over the candidate lists."""
+    """``_lender_pass`` group by group over the candidate lists, decided by
+    exact rational sums."""
     found = _search_input(net, lender, policy, 25)
     if found is None:
         return None
     borrowers, weights, floor = found
+    *units, exact_floor = _units([*weights, floor])
     n = len(borrowers)
     scale = out_strength(net, lender)
     support = []
@@ -425,9 +573,7 @@ def _reference_lender_pass(net, lender, policy):
     for candidates in _reference_candidates(weights, floor, pivotal_only=True):
         for combo in candidates:
             total = sum([weights[i] for i in combo])
-            if total < floor:
-                continue
-            pivotal = [i for i in combo if total - weights[i] < floor]
+            pivotal = _exact_pivots(units, exact_floor, combo)
             if not pivotal:
                 continue
             groups += 1

@@ -7,6 +7,7 @@ only as a reference implementation, never by the package itself.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
@@ -86,14 +87,16 @@ def test_critical_groups_match_brute_force():
             borrowers = sorted(net.borrowers_of(lender))
             expected = set()
             if q is not None:
-                weights = {b: net.weight(lender, b) for b in borrowers}
+                # exact rational sums against the floor q·(1 − TOL)
+                floor = Fraction(q * (1 - TOL))
+                weights = {b: Fraction(net.weight(lender, b)) for b in borrowers}
                 for size in range(1, len(borrowers) + 1):
                     for combo in combinations(borrowers, size):
                         total = sum(weights[b] for b in combo)
-                        if total < q - TOL:
+                        if total < floor:
                             continue
                         pivotal = frozenset(
-                            b for b in combo if total - weights[b] < q - TOL
+                            b for b in combo if total - weights[b] < floor
                         )
                         expected.add((frozenset(combo), pivotal))
             got = {
@@ -192,7 +195,7 @@ def test_indices_are_scale_invariant():
         rng = random.Random(seed)
         net = _random_network(rng)
         policy = _policy(rng)
-        for factor in (0.5, 3.0, 1000.0):
+        for factor in (1e-12, 0.5, 3.0, 1000.0, 1e12):
             scaled = ingest_edges(
                 [(a, b, w * factor) for (a, b), w in net.edges.items()]
             )

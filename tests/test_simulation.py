@@ -31,6 +31,7 @@ from lricnet import (
 )
 from lricnet.cli import emit_report
 from lricnet.simulation import _CascadeEngine, _seed_sets
+from test_groups import _units
 
 TOL = 1e-9
 
@@ -234,6 +235,8 @@ def _brute_matrix(net, policy, k_max, s=None):
     shares = share_matrix(net, policy)
     a = shares.values
     n = len(shares.nodes)
+    # exact sums: each row's shares and, last, the floor 1 - TOL, as ints
+    exact = [_units([*row, 1 - TOL]) for row in a.tolist()]
 
     def casc(seed):
         d = set(seed)
@@ -242,7 +245,7 @@ def _brute_matrix(net, policy, k_max, s=None):
             fresh = {
                 i
                 for i in range(n)
-                if i not in d and sum(a[i, k] for k in d) >= 1 - TOL
+                if i not in d and sum(exact[i][k] for k in d) >= exact[i][n]
             }
             if not fresh:
                 break
@@ -258,7 +261,7 @@ def _brute_matrix(net, policy, k_max, s=None):
                 g = frozenset(combo)
                 if any(m <= g for m in groups):
                     continue
-                if sum(a[i, k] for k in combo) >= 1 - TOL:
+                if sum(exact[i][k] for k in combo) >= exact[i][n]:
                     groups.append(g)
         return groups
 
@@ -478,8 +481,9 @@ def test_attribution_enumeration_cap():
 
 def _minimal_union(row, present):
     """The support as the engine once computed it: every subset of the
-    defaulted borrowers by size, keeping those that reach 1 and hold no
-    group kept before."""
+    defaulted borrowers by size, keeping those whose exact sum reaches
+    1 - TOL and hold no group kept before."""
+    *exact, floor = _units([*row, 1 - TOL])
     members = sorted(k for k in present if row[k] > 0)
     minimal = []
     for size in range(1, len(members) + 1):
@@ -487,7 +491,7 @@ def _minimal_union(row, present):
             group = frozenset(combo)
             if any(m <= group for m in minimal):
                 continue
-            if sum(row[k] for k in combo) >= 1 - TOL:
+            if sum(exact[k] for k in combo) >= floor:
                 minimal.append(group)
     return frozenset().union(*minimal)
 
@@ -611,7 +615,7 @@ def _numpy_share_matrix(net, policy):
         q = quotas[lender]
         if q is None:
             continue
-        values[index[lender], index[borrower]] = 1.0 if w >= q - TOL else w / q
+        values[index[lender], index[borrower]] = 1.0 if w >= q * (1 - TOL) else w / q
     return InfluenceMatrix(nodes=nodes, values=values, variant="shares")
 
 
