@@ -16,8 +16,9 @@ Conventions here are pinned to reproduce the reference result tables:
 
 Every measure works on the network's own views (strengths, edges, borrower
 lists) or on adjacency lists built from them, in plain Python.  The sums of
-each eigenvector and PageRank step are exact and rounded once
-(``math.fsum``), so the scores do not depend on the order of the nodes.
+each eigenvector and PageRank step and each closeness total are exact and
+rounded once (``math.fsum``), so the scores do not depend on the order of
+the nodes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def closeness(net: ExposureNetwork, direction: str = "out") -> dict[str, float]:
 
     direction "out" follows edges, "in" walks them backwards.  Unreachable
     pairs contribute the vertex count; a graph with a single node gets 0.
+    The distance total is exact and rounded once, so it does not depend on
+    the order of the nodes.
     """
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
@@ -94,7 +97,7 @@ def closeness(net: ExposureNetwork, direction: str = "out") -> dict[str, float]:
     result = {}
     for i, v in enumerate(nodes):
         dist = _dijkstra(adj, i, n)
-        total = sum(d if d != float("inf") else float(n) for k, d in enumerate(dist) if k != i)
+        total = math.fsum([d if d != math.inf else float(n) for k, d in enumerate(dist) if k != i])
         result[v] = 1.0 / total if total > 0 else 0.0
     return result
 

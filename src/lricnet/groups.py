@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .network import ExposureNetwork, ThresholdPolicy, out_strength, threshold
+from .network import ExposureNetwork, ThresholdPolicy, threshold
 
 logger = logging.getLogger(__name__)
 
@@ -225,16 +224,195 @@ def _enumerate(
 
 
 class _LenderPass(NamedTuple):
-    """What one lender's pivotal groups yield, per borrower in node order."""
+    """What one lender's pivotal groups yield, per borrower in node order.
+
+    Both routes, the walk (:func:`_tally`) and counting (:func:`_count`),
+    work with the exact sums of :func:`_units` and give equal passes.
+    """
 
     borrowers: tuple[str, ...]
     weights: list[float]
-    # unnormalized KBI score: sum over pivotal groups G of
-    # ((w_i + reinforcement of i by G) / s_L) / |G|
-    masses: list[float]
-    # smallest total of a group in which the borrower is pivotal; None if none
+    # unnormalized KBI score, the sum over pivotal groups G of
+    # (w_i + reinforcement of i by G) / |G|, as an exact numerator over
+    # lcm(1..n) times the denominator of `_units` (n borrowers)
+    masses: list[int]
+    # exact smallest total of a group in which the borrower is pivotal,
+    # rounded once; None if none
     min_totals: list[float | None]
     groups: int
+
+
+# (denominator, loans, support): see `_units`
+_Units = tuple[int, list[int], list[list[int] | None]]
+
+
+def _units(net: ExposureNetwork, borrowers: tuple[str, ...], weights: list[float]) -> _Units:
+    """A lender's loans and reinforcements as exact ints over one power-of-two
+    denominator (every float is a dyadic rational): the denominator, the
+    loans, and support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement
+    of i, or None when no co-member lends to i."""
+    edges, rows = net.edges, []
+    for bi in borrowers:
+        # min(a_ji, a_Lj), 0.0 where j does not lend to i
+        row = [
+            a if (a := edges.get((bj, bi), 0.0)) < wj else wj
+            for bj, wj in zip(borrowers, weights)
+        ]
+        rows.append(row if any(row) else None)
+    values = [*weights]
+    for row in rows:
+        values += row or ()
+    denominator = max([x.as_integer_ratio()[1] for x in values], default=1)
+
+    def exact(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return num * (denominator // den)
+
+    convert = int if denominator == 1 else exact
+    return (
+        denominator,
+        list(map(convert, weights)),
+        [None if row is None else list(map(convert, row)) for row in rows],
+    )
+
+
+def _tally(
+    borrowers: tuple[str, ...], weights: list[float], floor: float, units: _Units
+) -> _LenderPass:
+    """The pass by a walk over the pivotal groups (:func:`_groups`): each
+    pivotal member's term w_i + reinforcement, times lcm(1..n)/|G|, is
+    added to its exact mass."""
+    n = len(borrowers)
+    denominator, loans, support = units
+    low, high = _band(weights, floor)
+    # float totals are exact while all loans sum to less than 2**53 units;
+    # otherwise a total within `slack` of a borrower's least one is summed
+    slack = 0.0 if sum(loans) < 2**53 else high - low
+    lcm = math.lcm(*range(1, n + 1))
+    masses = [0] * n
+    least = [0] * n  # exact least totals, once `lowest` is set
+    lowest: list[float | None] = [None] * n
+    groups = 0
+    for members, total in _groups(weights, floor, True):
+        groups += 1
+        factor = lcm // len(members)
+        spare, short = total - high, total - low  # `_pivots`' test, inline
+        for i in members:
+            loan = weights[i]
+            if loan <= spare or (
+                loan <= short and _reaches([weights[j] for j in members if j != i], floor)
+            ):
+                continue
+            term = loans[i]
+            row = support[i]
+            if row is not None:
+                for j in members:  # i's own entry is 0
+                    term += row[j]
+            masses[i] += factor * term
+            bound = lowest[i]
+            if bound is None or total < bound + slack:
+                exact = sum([loans[j] for j in members])
+                if bound is None or exact < least[i]:
+                    least[i], lowest[i] = exact, exact / denominator
+    return _LenderPass(borrowers, weights, masses, lowest, groups)
+
+
+def _count(
+    borrowers: tuple[str, ...], weights: list[float], floor: float, units: _Units
+) -> _LenderPass:
+    """The pass by counting groups instead of listing them (Bilbao et al.,
+    "Generating functions for computing power indices efficiently", TOP
+    8(2), 2000).
+
+    With u the loans over their gcd and F the least total in those units
+    that reaches `floor`, ``poly[k]`` is the polynomial whose coefficient
+    of x^t counts the size-k groups of total t < F, a Python int with one
+    b-bit field per t, b = n + 1.  Removing borrower i (deconvolution, ``rest``)
+    leaves the groups S without it, and i is pivotal in S + {i} iff
+    F - u_i <= t < F: c_i(k), the size-k groups in which i is pivotal, is
+    the sum of the fields of ``rest[k-1]`` in that window.  No count
+    reaches 2**n, so the fields do not overflow and ``seg % (2**b - 1)``
+    sums a window exactly.  Removing a co-member j as well counts c_ij(k),
+    the groups that also hold j, wherever j reinforces i.
+    """
+    n = len(borrowers)
+    denominator, loans, support = units
+    unit = math.gcd(*loans)
+    u = [w // unit for w in loans]
+    num, den = floor.as_integer_ratio()
+    # F, floor / unit rounded up; past the sum of all loans any F is alike
+    need = min(-(-num * denominator // (den * unit)), sum(u) + 1)
+    b = n + 1
+    ones = (1 << b) - 1
+    top = (1 << need * b) - 1  # the fields below F, all that a window reads
+    poly = [1] + [0] * n
+    for added, w in enumerate(u, 1):
+        for k in range(added, 0, -1):
+            poly[k] = (poly[k] + (poly[k - 1] << w * b)) & top
+    lcm = math.lcm(*range(1, n + 1))
+    masses = [0] * n
+    lowest: list[float | None] = [None] * n
+    for i, w in enumerate(u):
+        lo = max(need - w, 0)
+        mask = (1 << (need - lo) * b) - 1
+        rest = [1]
+        for k in range(1, n):
+            rest.append(poly[k] - ((rest[-1] << w * b) & top))
+        hits = 0
+        for k in range(1, n + 1):
+            if seg := (rest[k - 1] >> lo * b) & mask:
+                hits |= seg
+                masses[i] += lcm // k * loans[i] * (seg % ones)
+        if not hits:
+            continue  # pivotal nowhere, so no reinforcement either
+        least = w + lo + ((hits & -hits).bit_length() - 1) // b
+        lowest[i] = least * unit / denominator
+        for j, r in enumerate(support[i] or ()):
+            lo_j, hi_j = max(need - w - u[j], 0), need - 1 - u[j]
+            if not r or hi_j < lo_j:
+                continue
+            mask_j = (1 << (hi_j - lo_j + 1) * b) - 1
+            both = [1]
+            for k in range(1, n - 1):
+                both.append(rest[k] - ((both[-1] << u[j] * b) & top))
+            for k in range(2, n + 1):
+                if seg := (both[k - 2] >> lo_j * b) & mask_j:
+                    masses[i] += lcm // k * r * (seg % ones)
+    # each pivotal group once, at its largest member in (loan, index) order,
+    # which is pivotal iff any member is; `prefix` counts the groups of the
+    # borrowers before it, of any size
+    groups, prefix = 0, 1
+    for p in sorted(range(n), key=u.__getitem__):
+        lo = max(need - u[p], 0)
+        groups += ((prefix >> lo * b) & ((1 << (need - lo) * b) - 1)) % ones
+        prefix = (prefix + (prefix << u[p] * b)) & top
+    return _LenderPass(borrowers, weights, masses, lowest, groups)
+
+
+# Counting replaces the walk for a lender with n >= _COUNT_FROM borrowers
+# whose loans, in units of their gcd, sum to T with T·(n+1), the bits of a
+# generating function, at most 2**min(n + 4, _COUNT_MAX_BITS).  The walk's
+# cost doubles with each borrower and counting's grows with the bits.  On
+# a 2-core x86 VM, with integer loans in [1, 100] at quotas 0.25 and 0.5,
+# counting took 1.0-1.4x the walk's time at 7 borrowers, 0.7-1.0x at 8,
+# 0.5-0.8x at 9 and 0.04-0.12x at 14; with larger loans at quota 0.25 the
+# two broke even near 2**13 bits at 9 borrowers, 2**16 at 12, 2**20 at 16.
+_COUNT_FROM = 9
+_COUNT_MAX_BITS = 20
+
+
+def _pass(
+    net: ExposureNetwork, borrowers: tuple[str, ...], weights: list[float], floor: float
+) -> tuple[_LenderPass, bool]:
+    """The lender's pass, and whether it came from counting."""
+    units = _units(net, borrowers, weights)
+    n = len(borrowers)
+    if n >= _COUNT_FROM:
+        _, loans, _ = units
+        bits = sum(loans) // math.gcd(*loans) * (n + 1)
+        if bits <= 1 << min(n + 4, _COUNT_MAX_BITS):
+            return _count(borrowers, weights, floor, units), True
+    return _tally(borrowers, weights, floor, units), False
 
 
 def _lender_pass(
@@ -243,89 +421,36 @@ def _lender_pass(
     policy: ThresholdPolicy,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> _LenderPass | None:
-    """One walk over the lender's pivotal groups that serves the KBI row, the
-    direct influence row and :func:`minimal_pivotal_sum`; None when the
-    lender has no threshold.
+    """The lender's pivotal groups, tallied once for the KBI row, the direct
+    influence row and :func:`minimal_pivotal_sum`; None when the lender has
+    no threshold.
 
-    Totals and reinforcements are summed, and each borrower's terms added,
-    in the order :func:`pivotal_groups` lists the groups and the KBI formula
-    sums over them, so every float equals the one computed from that list.
+    Sums are exact and rounded at most once, so the result does not depend
+    on node order, nor on whether the groups were walked or counted.
     """
     found = _search_input(net, lender, policy, cap)
-    return None if found is None else _tally(net, lender, *found)
-
-
-def _tally(
-    net: ExposureNetwork,
-    lender: str,
-    borrowers: tuple[str, ...],
-    weights: list[float],
-    floor: float,
-) -> _LenderPass:
-    n = len(borrowers)
-    scale = out_strength(net, lender)
-    # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i;
-    # None when no co-member lends to i
-    support: list[list[float] | None] = []
-    for bi in borrowers:
-        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
-        support.append(row if any(row) else None)
-    low, high = _band(weights, floor)
-    lowest: list[float | None] = [None] * n
-    # per group size, each pivotal (member, term) pair in group order
-    who = [array("i") for _ in range(n + 1)]
-    terms = [array("d") for _ in range(n + 1)]
-    groups = 0
-    for members, total in _groups(weights, floor, True):
-        groups += 1
-        size = len(members)
-        pivots, pivot_terms = who[size], terms[size]
-        spare, short = total - high, total - low  # `_pivots`' test, inline
-        for i in members:
-            loan = weights[i]
-            if loan <= spare or (
-                loan <= short and _reaches([weights[j] for j in members if j != i], floor)
-            ):
-                continue
-            row = support[i]
-            if row is not None:
-                # co-members' reinforcement, added in index order; i's own
-                # entry is 0.0, which leaves the sum as it is
-                reinforcement = 0.0
-                for j in members:
-                    reinforcement += row[j]
-                loan += reinforcement
-            pivots.append(i)
-            pivot_terms.append((loan / scale) / size)
-            least = lowest[i]
-            if least is None or total < least:
-                lowest[i] = total
-    # each borrower's mass adds its groups' terms one after another, in
-    # group order: by size, then lexicographic
-    mass = [0.0] * n
-    for members, masses in zip(who, terms):
-        for i, term in zip(members, masses):
-            mass[i] += term
-    return _LenderPass(borrowers, weights, mass, lowest, groups)
+    return None if found is None else _pass(net, *found)[0]
 
 
 def _lender_passes(
     net: ExposureNetwork, policy: ThresholdPolicy
 ) -> dict[str, _LenderPass]:
     """:func:`_lender_pass` of every lender with a threshold, in ``net.nodes``
-    order.  Every lender is checked against the cap before any is walked."""
+    order.  Every lender is checked against the cap before any is tallied."""
     inputs = {
         lender: _search_input(net, lender, policy, DEFAULT_ENUMERATION_CAP)
         for lender in net.nodes
     }
-    passes = {
-        lender: _tally(net, lender, *found)
-        for lender, found in inputs.items()
-        if found is not None
-    }
+    passes, counted = {}, 0
+    for lender, found in inputs.items():
+        if found is not None:
+            passes[lender], by_count = _pass(net, *found)
+            counted += by_count
     logger.debug(
-        "pivotal-group pass: %d lenders visited, %d pivotal groups tallied",
-        len(passes), sum(found.groups for found in passes.values()),
+        "pivotal-group pass: %d lenders visited (%d counted, %d walked), "
+        "%d pivotal groups tallied",
+        len(passes), counted, len(passes) - counted,
+        sum(found.groups for found in passes.values()),
     )
     return passes
 

@@ -9,6 +9,8 @@ normalized per lender and aggregated across lenders by lending volume.
 
 from __future__ import annotations
 
+import math
+
 from .groups import _lender_pass, _lender_passes, _LenderPass
 from .network import ExposureNetwork, ThresholdPolicy, out_strength
 
@@ -49,8 +51,8 @@ def kbi_for_lender(
     alpha_i = sum over critical groups G with i pivotal of
         (p_i + sum_{j in G, j != i} min(a_ji, a_Lj) / s_L) / |G|
     normalized to sum 1; all-zero when the lender has no critical group.
-    Every sum runs in borrower node order, so the float result does not
-    depend on set iteration order.
+    The sums are exact and each score is rounded once, so the result does
+    not depend on node order or set iteration order.
     """
     if out_strength(net, lender) == 0:
         raise ValueError(f"{lender!r} has no outgoing exposure")
@@ -60,9 +62,9 @@ def kbi_for_lender(
 
 
 def _kbi_row(found: _LenderPass) -> dict[str, float]:
-    mass = sum(found.masses)
+    mass = sum(found.masses)  # exact ints: each share is rounded once
     if mass == 0:
-        return dict(zip(found.borrowers, found.masses))
+        return dict.fromkeys(found.borrowers, 0.0)
     return {b: v / mass for b, v in zip(found.borrowers, found.masses)}
 
 
@@ -76,16 +78,17 @@ def kbi_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, dict[st
 
 
 def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> dict[str, float]:
-    """Aggregate index from per-lender rows, weighted by lending volume."""
-    grand_total = sum(net.out_strengths.values())
-    scores = {v: 0.0 for v in net.nodes}
+    """Aggregate index from per-lender rows, weighted by lending volume;
+    each score is an exact sum of its terms, rounded once."""
+    grand_total = math.fsum(net.out_strengths.values())
     if grand_total == 0:
-        return scores
+        return {v: 0.0 for v in net.nodes}
+    terms: dict[str, list[float]] = {v: [] for v in net.nodes}
     for lender, row in rows.items():
         weight = net.out_strengths[lender] / grand_total
         for borrower, value in row.items():
-            scores[borrower] += weight * value
-    return scores
+            terms[borrower].append(weight * value)
+    return {v: math.fsum(values) for v, values in terms.items()}
 
 
 def kbi_matrix(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> list[list[float]]:

@@ -306,12 +306,9 @@ def aggregate_paths(
     if not paths:
         return 0.0
     if method == "sumpaths":
-        # Left to right, not sum(): from Python 3.12 sum() compensates float
-        # rounding, and the total must not depend on the interpreter.
-        total = 0.0
-        for p in paths:
-            total += path_influence(p, "product")
-        return min(1.0, total)
+        # exact and rounded once, so the total does not depend on the order
+        # of the chains
+        return min(1.0, math.fsum([path_influence(p, "product") for p in paths]))
     if method == "maxpath":
         return max(path_influence(p, "product") for p in paths)
     if method == "maxmin":
@@ -334,16 +331,29 @@ def lric_paths_matrices(
     steps once and folds it into all five aggregates of the lender it ends
     at.  Children are taken in node order, so the chains ending at one
     lender arrive in the order :func:`simple_paths` lists them and in
-    lexicographic node order.  Hence sums accumulate exactly as in
-    :func:`aggregate_paths`, and the first chain reaching the lowest grade
-    score is the one :func:`best_graded_path` picks: each entry equals
-    ``aggregate_paths(simple_paths(...), method, schema, s)`` bit for bit.
+    lexicographic node order.  Hence the first chain reaching the lowest
+    grade score is the one :func:`best_graded_path` picks, and as sums are
+    exact, each entry equals ``aggregate_paths(simple_paths(...), method,
+    schema, s)`` bit for bit.
     """
     rows = _influence_rows(net, _lender_passes(net, policy))
     return {
         method: _as_matrix(net.nodes, values, f"paths:{method}")
         for method, values in _fold_chains(net.nodes, rows, s, schema).items()
     }
+
+
+# chain products kept per (source, target) before they are folded exactly
+_SPILL = 4096
+
+
+def _expansion(values: list[float]) -> list[float]:
+    """A few floats with the exact sum of `values`: each is the rounded
+    exact sum of what the ones before it leave (Shewchuk, DCG 18, 1997)."""
+    negated: list[float] = []
+    while part := math.fsum(values + negated):
+        negated.append(-part)
+    return [-x for x in negated]
 
 
 def _fold_chains(
@@ -367,7 +377,7 @@ def _fold_chains(
     fold = {method: [[0.0] * n for _ in range(n)] for method in PATH_METHODS}
     sums, maxpath, maxmin, multt, maxt = (fold[method] for method in PATH_METHODS)
     for j in range(n):
-        total = [0.0] * n
+        products: list[list[float]] = [[] for _ in range(n)]  # chains j -> v
         best_product = [0.0] * n
         best_weakest = [0.0] * n
         best_score = [math.inf] * n
@@ -384,7 +394,10 @@ def _fold_chains(
                 p = product * c_vu
                 w = weakest if weakest < c_vu else c_vu
                 k = cost + step_cost
-                total[v] += p
+                chains = products[v]
+                chains.append(p)
+                if len(chains) == _SPILL:
+                    chains[:] = _expansion(chains)
                 if p > best_product[v]:
                     best_product[v] = p
                 if w > best_weakest[v]:
@@ -403,7 +416,7 @@ def _fold_chains(
             walk(j, 1.0, math.inf, 0, 0)
         for i in range(n):
             if best_score[i] < math.inf:
-                sums[i][j] = min(1.0, total[i])
+                sums[i][j] = min(1.0, math.fsum(products[i]))
                 maxpath[i][j] = best_product[i]
                 maxmin[i][j] = best_weakest[i]
                 multt[i][j] = graded_product[i]

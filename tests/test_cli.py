@@ -173,31 +173,38 @@ def test_verbose_log_leaves_report_bytes_unchanged(ex1_csv):
 
 
 KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matrices")
+# a lender with 12 borrowers and integer loans: its pivotal groups are counted
+WIDE_LENDER = [("L", f"b{i}", 1 + i % 5) for i in range(12)]
 
 
 def _numpy_loaded(argv):
     """Run ``lric-net`` on `argv` in a fresh process: its output, and
-    whether numpy was imported by its end."""
+    whether numpy was imported by its end.  Exact sums use ints and
+    ``math.fsum``, so fractions and decimal must stay unloaded."""
     probe = (
         "import sys, lricnet, lricnet.cli\n"
         "assert 'numpy' not in sys.modules\n"
         "code = lricnet.cli.main(sys.argv[1:])\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     child = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         env=_child_env(), capture_output=True, timeout=60, check=True,
     )
-    assert child.stderr in (b"True\n", b"False\n"), child.stderr
-    return child.stdout.decode(), child.stderr == b"True\n"
+    numpy, exact = child.stderr.splitlines()
+    assert numpy in (b"True", b"False"), child.stderr
+    assert exact == b"[]", child.stderr
+    return child.stdout.decode(), numpy == b"True"
 
 
 @pytest.mark.parametrize("method, imported", [("kbi,maxpath", False), ("all", False)])
-def test_numpy_is_imported_only_by_the_methods_that_need_it(ex1_csv, method, imported):
+def test_numpy_is_imported_only_by_the_methods_that_need_it(tmp_path, method, imported):
     # every method works on lists of rows; only the library functions that
     # return arrays import numpy
-    argv = ["compute", "--edges", ex1_csv, *KBI_AND_PATH[:2], "--method", method,
+    edges = str(write_edges_csv(tmp_path / "edges.csv", EX1_EDGES + WIDE_LENDER))
+    argv = ["compute", "--edges", edges, *KBI_AND_PATH[:2], "--method", method,
             "--sim-mode", "exhaustive", "--k0-max", "2", "--emit-matrices"]
     out, loaded = _numpy_loaded(argv)
     names = METHOD_ORDER if method == "all" else method.split(",")
@@ -240,16 +247,28 @@ def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, 
     assert len(searched) == len(lenders) == 7
 
 
-def test_compute_logs_pivotal_pass(capsys, ex1, ex1_csv, quarter, caplog):
-    argv = ("compute", "--edges", ex1_csv, *KBI_AND_PATH)
-    _, quiet, _ = _run(capsys, *argv)
-    with caplog.at_level(logging.DEBUG, logger="lricnet.groups"):
-        code, loud, _ = _run(capsys, "-vv", *argv)
-    assert code == 0
-    assert loud == quiet
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "lricnet.groups"]
-    tallied = sum(len(pivotal_groups(ex1, v, quarter)) for v in ex1.nodes)
-    assert line == f"pivotal-group pass: 7 lenders visited, {tallied} pivotal groups tallied"
+def test_compute_logs_pivotal_pass(capsys, ex1, tmp_path, quarter, caplog):
+    # ex1's lenders have at most 3 borrowers each and are walked
+    for edges, routes in (
+        (EX1_EDGES, "0 counted, 7 walked"),
+        (EX1_EDGES + WIDE_LENDER, "1 counted, 7 walked"),
+    ):
+        path = str(write_edges_csv(tmp_path / "edges.csv", edges))
+        argv = ("compute", "--edges", path, *KBI_AND_PATH)
+        _, quiet, _ = _run(capsys, *argv)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lricnet.groups"):
+            code, loud, _ = _run(capsys, "-vv", *argv)
+        assert code == 0
+        assert loud == quiet
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "lricnet.groups"]
+        net = ingest_edges(edges)
+        lenders = sum(out_strength(net, v) != 0 for v in net.nodes)
+        tallied = sum(len(pivotal_groups(net, v, quarter)) for v in net.nodes)
+        assert line == (
+            f"pivotal-group pass: {lenders} lenders visited ({routes}), "
+            f"{tallied} pivotal groups tallied"
+        )
 
 
 @pytest.mark.parametrize("method", ["kbi", "maxpath", "kbi,maxpath"])

@@ -6,6 +6,7 @@ threshold; a member is pivotal when removing it breaks criticality) before
 being frozen here.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -40,7 +41,7 @@ from lricnet import (
     share_matrix,
     threshold,
 )
-from lricnet.groups import TOL, _lender_pass, _search_input
+from lricnet.groups import TOL, _count, _floor, _lender_pass, _pass, _search_input, _tally
 from lricnet.kbi import kbi_rows
 from lricnet.simulation import _CascadeEngine, _share_rows
 
@@ -141,6 +142,25 @@ def test_minimal_pivotal_sum(ex1, ex2, quarter):
 def test_minimal_pivotal_sum_rejects_non_borrower(ex1, quarter):
     with pytest.raises(ValueError):
         minimal_pivotal_sum(ex1, "1", "10", quarter)
+
+
+def test_minimal_pivotal_sum_is_the_exact_minimum_rounded_once():
+    # with u = 2**-52, a is pivotal in {a, b} (total 1 + 2u) and in
+    # {a, c, d} (exactly 1 + 1.2u, but 1 + 2u in node order, as 1 + 0.6u
+    # rounds up twice); the floor 1 + u leaves {a} short
+    u = 2.0**-52
+    net = ingest_edges(
+        [("L", "a", 1.0), ("L", "b", 2 * u), ("L", "c", 0.6 * u), ("L", "d", 0.6 * u)]
+    )
+    q = 1.0
+    while _floor(q) < 1 + u:
+        q = math.nextafter(q, math.inf)
+    policy = Absolute({"L": q})
+    assert _floor(q) == 1 + u
+    totals = {g.members: g.total for g in pivotal_groups(net, "L", policy) if "a" in g.pivotal}
+    assert totals[frozenset("ab")] == totals[frozenset("acd")] == 1 + 2 * u
+    assert min(totals.values()) == 1 + 2 * u
+    assert minimal_pivotal_sum(net, "L", "a", policy) == 1 + u
 
 
 CAP_MESSAGE = (
@@ -366,17 +386,18 @@ def test_groups_and_supports_do_not_depend_on_node_labels():
 
 
 def _reference_kbi_for_lender(net, lender, policy):
-    """``kbi_for_lender`` as it was computed from the listed pivotal groups."""
-    total = out_strength(net, lender)
+    """``kbi_for_lender`` from the listed pivotal groups, in exact rational
+    sums, each share rounded once."""
+    total = Fraction(out_strength(net, lender))
     if total == 0:
         raise ValueError(f"{lender!r} has no outgoing exposure")
     borrowers = net.borrowers_of(lender)
-    loans = {b: net.weight(lender, b) for b in borrowers}
+    loans = {b: Fraction(net.weight(lender, b)) for b in borrowers}
     # support[i][j] = min(a_ji, a_Lj), co-member j's reinforcement of i
     support = {
-        i: {j: min(net.weight(j, i), loans[j]) for j in borrowers} for i in borrowers
+        i: {j: min(Fraction(net.weight(j, i)), loans[j]) for j in borrowers} for i in borrowers
     }
-    alpha = {b: 0.0 for b in borrowers}
+    alpha = {b: Fraction(0) for b in borrowers}
     for group in pivotal_groups(net, lender, policy):
         members = [b for b in borrowers if b in group.members]
         for member in members:
@@ -386,12 +407,18 @@ def _reference_kbi_for_lender(net, lender, policy):
             alpha[member] += ((loans[member] + reinforcement) / total) / len(members)
     mass = sum(alpha.values())
     if mass == 0:
-        return alpha
-    return {b: v / mass for b, v in alpha.items()}
+        return {b: 0.0 for b in borrowers}
+    return {b: float(v / mass) for b, v in alpha.items()}
+
+
+def _exact_total(net, lender, group):
+    """The exact sum of the group's loans, rounded once."""
+    return float(sum(Fraction(net.weight(lender, b)) for b in group.members))
 
 
 def _reference_influence_matrix(net, policy):
-    """``influence_matrix`` as it was computed from the listed pivotal groups."""
+    """``influence_matrix`` from the listed pivotal groups: each loan over the
+    least exact total of a group in which its borrower is pivotal."""
     nodes = net.nodes
     index = {v: k for k, v in enumerate(nodes)}
     values = np.zeros((len(nodes), len(nodes)))
@@ -399,7 +426,7 @@ def _reference_influence_matrix(net, policy):
         for group in pivotal_groups(net, lender, policy):
             for member in group.pivotal:
                 i, j = index[lender], index[member]
-                share = net.weight(lender, member) / group.total
+                share = net.weight(lender, member) / _exact_total(net, lender, group)
                 if values[i, j] == 0 or share > values[i, j]:
                     values[i, j] = share
     return InfluenceMatrix(nodes=nodes, values=values, variant="paths")
@@ -463,7 +490,9 @@ def test_pivotal_pass_matches_group_list_oracle():
         for lender in lenders:
             groups = pivotal_groups(net, lender, policy)
             for borrower in net.borrowers_of(lender):
-                totals = [g.total for g in groups if borrower in g.pivotal]
+                totals = [
+                    _exact_total(net, lender, g) for g in groups if borrower in g.pivotal
+                ]
                 assert minimal_pivotal_sum(net, lender, borrower, policy) == (
                     min(totals) if totals else None
                 ), context
@@ -554,39 +583,46 @@ def _reference_groups(net, lender, policy, pivotal_only):
 
 
 def _reference_lender_pass(net, lender, policy):
-    """``_lender_pass`` group by group over the candidate lists, decided by
-    exact rational sums."""
+    """``_lender_pass`` group by group over the candidate lists, decided and
+    summed in exact rationals.  Masses are the exact sums over lcm(1..n)
+    and the common denominator of the loans and reinforcements; minimal
+    totals are rounded once."""
     found = _search_input(net, lender, policy, 25)
     if found is None:
         return None
     borrowers, weights, floor = found
     *units, exact_floor = _units([*weights, floor])
     n = len(borrowers)
-    scale = out_strength(net, lender)
-    support = []
-    for bi in borrowers:
-        row = [min(net.weight(bj, bi), wj) for bj, wj in zip(borrowers, weights)]
-        support.append(row if any(row) else None)
-    masses = [0.0] * n
+    loans = [Fraction(w) for w in weights]
+    support = [
+        [min(Fraction(net.weight(bj, bi)), loans[j]) for j, bj in enumerate(borrowers)]
+        for bi in borrowers
+    ]
+    masses = [Fraction(0)] * n
     min_totals = [None] * n
     groups = 0
     for candidates in _reference_candidates(weights, floor, pivotal_only=True):
         for combo in candidates:
-            total = sum([weights[i] for i in combo])
+            total = sum([loans[i] for i in combo])
             pivotal = _exact_pivots(units, exact_floor, combo)
             if not pivotal:
                 continue
             groups += 1
             for i in pivotal:
-                row = support[i]
-                if row is None:
-                    masses[i] += (weights[i] / scale) / len(combo)
-                else:
-                    reinforcement = sum([row[j] for j in combo if j != i])
-                    masses[i] += ((weights[i] + reinforcement) / scale) / len(combo)
+                reinforcement = sum([support[i][j] for j in combo if j != i])
+                masses[i] += (loans[i] + reinforcement) / len(combo)
                 if min_totals[i] is None or total < min_totals[i]:
                     min_totals[i] = total
-    return (borrowers, weights, masses, min_totals, groups)
+    denominator = max(x.denominator for row in [loans, *support] for x in row if x)
+    scale = math.lcm(*range(1, n + 1)) * denominator
+    assert all((m * scale).denominator == 1 for m in masses)
+    return (
+        borrowers,
+        weights,
+        [int(m * scale) for m in masses],
+        [None if t is None else float(t) for t in min_totals],
+        groups,
+    )
 
 
 def _wide_lender(rng, trial, n):
@@ -628,7 +664,7 @@ def test_pivotal_pass_matches_candidate_oracle_across_blocks():
         checked += 1
         expected = _reference_lender_pass(net, "L", policy)
         assert tuple(found) == expected, context
-        assert all(type(m) is float for m in found.masses)
+        assert all(type(m) is int for m in found.masses)
         expected_groups = _reference_groups(net, "L", policy, pivotal_only=True)
         assert pivotal_groups(net, "L", policy) == expected_groups, context
         assert len(expected_groups) == expected[4]
@@ -652,8 +688,8 @@ def test_critical_groups_match_power_set_across_blocks():
 
 
 def test_pivotal_pass_memory_at_the_cap():
-    # 25 borrowers, the cap: the pass holds the search path and the pivotal
-    # terms it found, less than the candidate lists of the oracle search
+    # 25 borrowers, the cap: the pass holds its generating functions, less
+    # than the candidate lists of the oracle search
     rng = random.Random(25)
     net = ingest_edges([("L", f"b{i}", rng.randint(1, 100)) for i in range(25)])
     policy = OutShareQuota(0.1)
@@ -667,3 +703,54 @@ def test_pivotal_pass_memory_at_the_cap():
             tracemalloc.stop()
         assert found[4] == 38752  # pivotal groups
     assert peaks[0] < 2.5e6 < peaks[1], peaks
+
+
+def _route_loan(rng, kind):
+    if kind == "ints":
+        return float(rng.randint(1, 100))
+    if kind == "quarters":
+        return rng.randint(1, 400) * 0.25
+    if kind == "ints x 1e12":
+        return rng.randint(1, 100) * 1e12
+    return rng.randint(1, 63) / rng.choice([4, 8, 16, 32])  # fractional floats
+
+
+@pytest.mark.parametrize("kind", ["ints", "quarters", "ints x 1e12", "floats"])
+def test_counting_and_walking_give_equal_passes(kind):
+    # every lender, with up to 25 borrowers, through both routes; the wide
+    # lender "L" gets a quota that keeps its pivotal groups few enough to walk
+    rng = random.Random(f"routes:{kind}")
+    sizes, counted = set(), 0
+    for trial in range(40):
+        n = rng.randint(1, 25)
+        names = [f"b{i}" for i in range(n)] + rng.sample(["c", "d", "e", "9", "10"], 3)
+        edges = {("L", b): _route_loan(rng, kind) for b in names[:n]}
+        for a in names:
+            for b in names:
+                if a != b and rng.random() < 0.15:
+                    edges[(a, b)] = _route_loan(rng, kind)
+        nodes = tuple(sorted({"L", *names}, key=node_sort_key))
+        net = ExposureNetwork(nodes=nodes, edges=edges)
+        if n > 16:
+            policy = OutShareQuota(rng.choice([0.05, 0.9, 1.0]))
+        elif trial % 2:
+            policy = OutShareQuota(rng.choice([0.1, 0.25, 0.5, 0.75]))
+        else:
+            quotas = {}
+            for lender in nodes:
+                loans = [net.weight(lender, b) for b in net.borrowers_of(lender)]
+                if loans:
+                    part = [w for w in loans if rng.random() < 0.5] or loans[:1]
+                    quotas[lender] = sum(part) + rng.choice([0.0, 0.0, TOL, -TOL])
+            policy = Absolute(quotas)
+        for lender in nodes:
+            found = _search_input(net, lender, policy, 25)
+            if found is None:
+                continue
+            units = lricnet.groups._units(net, *found[:2])
+            walked = _tally(*found, units)
+            assert _count(*found, units) == walked, (kind, trial, lender, edges, policy)
+            assert walked == _lender_pass(net, lender, policy)
+            sizes.add(len(found[0]))
+            counted += _pass(net, *found)[1]
+    assert max(sizes) > 20 and counted > 5, (sizes, counted)

@@ -35,6 +35,7 @@ from lricnet import (
     simple_paths,
     weighted_vector,
 )
+from lricnet import paths as paths_module
 from lricnet.cli import emit_report
 from lricnet.paths import PATH_METHODS
 
@@ -382,6 +383,24 @@ def test_one_pass_fold_matches_per_pair_oracle():
                 single = lric_paths_matrix(net, policy, method, s, schema)
                 assert np.array_equal(single.values, matrix.values)
                 assert single.variant == matrix.variant
+
+
+def test_sumpaths_fold_stays_exact_when_it_folds_long_chain_lists(monkeypatch):
+    # a spill after every 2 chains folds each list into its exact expansion
+    monkeypatch.setattr(paths_module, "_SPILL", 2)
+    rng = random.Random(20261019)
+    folded = 0
+    for case in range(60):
+        net = _random_fold_net(rng)
+        policy = OutShareQuota(rng.choice([0.2, 0.25, 0.5, 1.0]))
+        got = lric_paths_matrices(net, policy)["sumpaths"]
+        ref = _per_pair_reference(net, policy, None, FIVE_LEVEL)["sumpaths"]
+        assert np.array_equal(got.values, ref), case
+        c = influence_matrix(net, policy)
+        folded += any(
+            len(simple_paths(c, a, b)) > 2 for a in c.nodes for b in c.nodes if a != b
+        )
+    assert folded > 10
 
 
 @pytest.mark.parametrize("reverse", [False, True])
