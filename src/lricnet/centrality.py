@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .network import ExposureNetwork
+from .network import ExposureNetwork, _tuple_eq, _tuple_ne
 
 
-@dataclass(frozen=True)
-class CentralityTable:
+class CentralityTable(NamedTuple):
     """All per-node baseline measures, keyed by node id."""
 
     win: dict[str, float]
@@ -44,12 +43,13 @@ class CentralityTable:
     eig: dict[str, float]
     pagerank: dict[str, float]
 
+    __eq__, __ne__ = _tuple_eq, _tuple_ne
+
 
 def degree_measures(net: ExposureNetwork) -> tuple[dict, dict, dict, dict]:
     """(in-strength, out-strength, out minus in, in plus out) per node."""
-    # float(): the strength of a node without loans is the int 0
-    win = {v: float(net.in_strengths[v]) for v in net.nodes}
-    wout = {v: float(net.out_strengths[v]) for v in net.nodes}
+    win = {v: net.in_strengths[v] for v in net.nodes}
+    wout = {v: net.out_strengths[v] for v in net.nodes}
     return (
         win,
         wout,

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import logging
 import math
+import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
-from pathlib import Path
 
 from .centrality import (
     _eigenvector_or_zeros,
@@ -70,8 +68,6 @@ from .simulation import (
     _sim_scores,
     _simulate_rows,
 )
-
-logger = logging.getLogger(__name__)
 
 CLASSICAL_METHODS = (
     "in-degree",
@@ -162,7 +158,7 @@ def _resolve_grades(text: str) -> GradeSchema:
     schema = GRADE_SCHEMAS.get(text)
     if schema is not None:
         return schema
-    if Path(text).exists():
+    if os.path.exists(text):
         return load_grade_schema(text)
     names = ", ".join(sorted(GRADE_SCHEMAS))
     raise ValueError(f"unknown grade schema {text!r}: use one of {names} or a JSON file path")
@@ -244,6 +240,8 @@ def emit_report(scores: Mapping[str, float], fmt: str = "csv") -> bytes:
             lines.append(f"{node},{scores[node]:.6f},{ranking.ranks[node]}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
+        import json
+
         doc = {"scores": dict(scores), "ranks": ranking.ranks}
         return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -360,17 +358,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     outdir = settings["output_dir"]
     fmt = settings["format"]
     if outdir:
-        directory = Path(outdir)
-        directory.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
         for name in names:
             scores, matrix = results[name]
-            report = directory / f"{name}.{fmt}"
-            report.write_bytes(emit_report(scores, fmt))
-            print(f"wrote {report}")
+            _write(os.path.join(outdir, f"{name}.{fmt}"), emit_report(scores, fmt))
             if matrix is not None:
-                matrix_path = directory / f"{name}.matrix.csv"
-                matrix_path.write_bytes(_matrix_csv(*matrix))
-                print(f"wrote {matrix_path}")
+                _write(os.path.join(outdir, f"{name}.matrix.csv"), _matrix_csv(*matrix))
         return 0
     for pos, name in enumerate(names):
         if pos:
@@ -384,6 +377,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+    print(f"wrote {path}")
+
+
 def _cmd_net(args: argparse.Namespace) -> int:
     net = net_mutual_exposures(ingest_edges(read_edges_csv(args.edges)))
     lines = ["from,to,weight"]
@@ -393,8 +392,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         lines.append(f"{lender},{borrower},{net.edges[(lender, borrower)]:.6f}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}")
+        _write(args.output, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0
@@ -450,7 +448,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("need at least two score files to compare")
     rankings: dict[str, object] = {}
     for path in args.files:
-        name = Path(path).stem
+        # the file name without its last suffix, as pathlib's ``stem``
+        base = os.path.basename(path)
+        stem, _, suffix = base.rpartition(".")
+        name = stem if stem and suffix else base
         if name in rankings:
             raise ValueError(f"duplicate ranking name {name!r}; rename one input file")
         rankings[name] = rank(_read_scores_csv(path))
@@ -575,8 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    if args.verbose:  # nothing logs above DEBUG, so a plain run needs no logging
+        import logging
+
+        level = logging.WARNING - 10 * min(args.verbose, 2)
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

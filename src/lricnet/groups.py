@@ -9,16 +9,13 @@ path-based influence matrix.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .network import ExposureNetwork, ThresholdPolicy, threshold
-
-logger = logging.getLogger(__name__)
+from .network import ExposureNetwork, ThresholdPolicy, _tuple_eq, _tuple_ne, threshold
 
 # Relative tolerance of the threshold q (see `_floor`): exact boundary cases,
 # such as a single loan equal to q, must count as critical at any scale.
@@ -27,12 +24,23 @@ TOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 25
 
 
-@dataclass(frozen=True)
-class CriticalGroup:
+class CriticalGroup(NamedTuple):
     lender: str
     members: frozenset[str]
     total: float
     pivotal: frozenset[str]
+
+    __eq__, __ne__ = _tuple_eq, _tuple_ne
+
+
+def _debug(logger: str, message: str, *args: object) -> None:
+    """Log `message` % `args` at DEBUG level on the logger named `logger`,
+    if :mod:`logging` has been imported.  If it has not, no handler exists
+    and the record would go nowhere; so a plain ``lric-net`` run leaves
+    :mod:`logging` unloaded, and ``-v`` loads it."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(message, *args)
 
 
 def _floor(q: float) -> float:
@@ -446,7 +454,8 @@ def _lender_passes(
         if found is not None:
             passes[lender], by_count = _pass(net, *found)
             counted += by_count
-    logger.debug(
+    _debug(
+        __name__,
         "pivotal-group pass: %d lenders visited (%d counted, %d walked), "
         "%d pivotal groups tallied",
         len(passes), counted, len(passes) - counted,

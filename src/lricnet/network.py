@@ -12,10 +12,9 @@ so that reports list "2" before "10".
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def node_sort_key(node: str) -> tuple[int, float, str]:
@@ -26,8 +25,62 @@ def node_sort_key(node: str) -> tuple[int, float, str]:
         return (1, 0.0, node)
 
 
-@dataclass(frozen=True)
-class ExposureNetwork:
+class _Record:
+    """Base of the immutable records that validate their fields.
+
+    A subclass names its fields, in order, in ``_fields``; its ``__init__``
+    sets them with :meth:`_assign` and checks them.  Records compare,
+    hash, copy and pickle by those fields, a record never equals one of
+    another class, and no attribute can be set or deleted once built.
+    Unlike a dataclass, the class runs no generated code at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _tuple_eq(self: tuple, other: object) -> bool:
+    """``__eq__`` of a ``NamedTuple`` record: field by field within its
+    class, never equal to a record of another class or a plain tuple."""
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _tuple_ne(self: tuple, other: object) -> bool:
+    equal = _tuple_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+class ExposureNetwork(_Record):
     """Immutable weighted directed exposure graph.
 
     Parameters
@@ -40,27 +93,29 @@ class ExposureNetwork:
         a missing key means no exposure.  Read-only: the views below are
         derived from it once, so it must not be mutated after construction.
     attributes:
-        Map ``attribute name -> {node -> value}``.  Values are nonnegative;
-        a node absent from the inner map has no value for that attribute.
+        Map ``attribute name -> {node -> value}``, empty by default.  Values
+        are nonnegative; a node absent from the inner map has no value for
+        that attribute.
 
-    Built once with the network: ``index`` maps each node to its position
-    in ``nodes``, ``out_strengths`` / ``in_strengths`` hold each node's total
-    lending and borrowing, summed in ``edges`` order, and each lender's
-    borrowers are sorted for :meth:`borrowers_of`.
+    Built once with the network, and left out of equality and repr:
+    ``index`` maps each node to its position in ``nodes``,
+    ``out_strengths`` / ``in_strengths`` hold each node's total lending and
+    borrowing, summed exactly and rounded once (``math.fsum``), so they do
+    not depend on the order of ``edges``, and each lender's borrowers are
+    sorted for :meth:`borrowers_of`.
     """
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
-    attributes: dict[str, dict[str, float]] = field(default_factory=dict)
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    out_strengths: dict[str, float] = field(init=False, repr=False, compare=False)
-    in_strengths: dict[str, float] = field(init=False, repr=False, compare=False)
-    _borrowers: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _fields = ("nodes", "edges", "attributes")
+    __slots__ = (*_fields, "index", "out_strengths", "in_strengths", "_borrowers")
 
-    def __post_init__(self) -> None:
-        edges = self.edges
-        borrowers: dict[str, list[str]] = {v: [] for v in self.nodes}
-        lenders: dict[str, list[str]] = {v: [] for v in self.nodes}
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        edges: dict[tuple[str, str], float],
+        attributes: dict[str, dict[str, float]] | None = None,
+    ) -> None:
+        borrowers: dict[str, list[str]] = {v: [] for v in nodes}
+        lenders: dict[str, list[str]] = {v: [] for v in nodes}
         for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
@@ -72,14 +127,15 @@ class ExposureNetwork:
                 raise ValueError(f"edge {a!r}->{b!r} references unknown node")
             borrowers[a].append(b)
             lenders[b].append(a)
-        # sum() in edges order, so each total is the float a scan of edges gives
-        outs = {a: sum([edges[a, b] for b in bs]) for a, bs in borrowers.items()}
-        ins = {b: sum([edges[a, b] for a in ls]) for b, ls in lenders.items()}
+        outs = {a: math.fsum([edges[a, b] for b in bs]) for a, bs in borrowers.items()}
+        ins = {b: math.fsum([edges[a, b] for a in ls]) for b, ls in lenders.items()}
         ordered = {a: tuple(sorted(bs, key=node_sort_key)) for a, bs in borrowers.items()}
-        object.__setattr__(self, "index", {v: k for k, v in enumerate(self.nodes)})
-        object.__setattr__(self, "out_strengths", outs)
-        object.__setattr__(self, "in_strengths", ins)
-        object.__setattr__(self, "_borrowers", ordered)
+        self._assign(nodes, edges, {} if attributes is None else attributes)
+        view = object.__setattr__
+        view(self, "index", {v: k for k, v in enumerate(nodes)})
+        view(self, "out_strengths", outs)
+        view(self, "in_strengths", ins)
+        view(self, "_borrowers", ordered)
 
     def weight(self, lender: str, borrower: str) -> float:
         """Exposure of `lender` to `borrower`; 0.0 when there is no edge."""
@@ -93,34 +149,37 @@ class ExposureNetwork:
         return self.attributes.get(name, {}).get(node)
 
 
-@dataclass(frozen=True)
-class OutShareQuota:
+def _check_fraction(fraction: float) -> None:
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
+class OutShareQuota(_Record):
     """Threshold q_i = fraction x out-strength(i)."""
 
-    fraction: float
+    __slots__ = _fields = ("fraction",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+    def __init__(self, fraction: float) -> None:
+        self._assign(fraction)
+        _check_fraction(fraction)
 
 
-@dataclass(frozen=True)
-class AttributeShare:
+class AttributeShare(_Record):
     """Threshold q_i = fraction x attribute(i), e.g. 10% of GDP."""
 
-    attribute: str
-    fraction: float
+    __slots__ = _fields = ("attribute", "fraction")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+    def __init__(self, attribute: str, fraction: float) -> None:
+        self._assign(attribute, fraction)
+        _check_fraction(fraction)
 
 
-@dataclass(frozen=True)
-class Absolute:
+class Absolute(NamedTuple):
     """Explicit per-node thresholds."""
 
     quotas: dict[str, float]
+
+    __eq__, __ne__ = _tuple_eq, _tuple_ne
 
 
 ThresholdPolicy = OutShareQuota | AttributeShare | Absolute
@@ -132,12 +191,13 @@ def ingest_edges(
 ) -> ExposureNetwork:
     """Build a network from (lender, borrower, weight) records.
 
-    Duplicate (lender, borrower) pairs are summed.  Zero-weight records are
+    Duplicate (lender, borrower) pairs are summed exactly and rounded once,
+    so the order of the records does not matter.  Zero-weight records are
     dropped; negative or non-finite weights, sums that overflow to infinity
     and self-loops are rejected.
     Nodes appearing only in `attributes` are retained as isolated nodes.
     """
-    edges: dict[tuple[str, str], float] = {}
+    loans: dict[tuple[str, str], list[float]] = {}
     nodes: set[str] = set()
     for rec in records:
         src, dst, w = str(rec[0]), str(rec[1]), float(rec[2])
@@ -149,12 +209,14 @@ def ingest_edges(
             raise ValueError(f"self-loop in record {rec!r}")
         nodes.add(src)
         nodes.add(dst)
-        if w == 0:
-            continue
-        total = edges.get((src, dst), 0.0) + w
-        if not math.isfinite(total):
-            raise ValueError(f"weights of {src!r}->{dst!r} sum to a non-finite value")
-        edges[(src, dst)] = total
+        if w != 0:
+            loans.setdefault((src, dst), []).append(w)
+    edges: dict[tuple[str, str], float] = {}
+    for (src, dst), weights in loans.items():
+        try:
+            edges[src, dst] = math.fsum(weights)
+        except OverflowError:
+            raise ValueError(f"weights of {src!r}->{dst!r} sum to a non-finite value") from None
     attributes = attributes or {}
     for values in attributes.values():
         nodes.update(values)
@@ -268,6 +330,8 @@ def _csv_rows(
 def _read_json(path: str) -> object:
     """The JSON document in a UTF-8 file; ValueError naming the path when the
     file is not UTF-8 or not JSON."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)

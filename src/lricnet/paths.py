@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .groups import _lender_passes, _LenderPass
-from .network import ExposureNetwork, ThresholdPolicy, _read_json, node_sort_key
+from .network import ExposureNetwork, ThresholdPolicy, _read_json, _Record, node_sort_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,19 +35,18 @@ if TYPE_CHECKING:
 PATH_METHODS = ("sumpaths", "maxpath", "maxmin", "multt", "maxt")
 
 
-@dataclass(frozen=True)
-class InfluenceMatrix:
-    """Square influence matrix: entry (i, j) is the influence of j on i."""
+class InfluenceMatrix(_Record):
+    """Square influence matrix: entry (i, j) is the influence of j on i.
+    `values` is made read-only."""
 
-    nodes: tuple[str, ...]
-    values: np.ndarray
-    variant: str
+    __slots__ = _fields = ("nodes", "values", "variant")
 
-    def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if self.values.shape != (n, n):
-            raise ValueError(f"matrix shape {self.values.shape} does not match {n} nodes")
-        self.values.setflags(write=False)
+    def __init__(self, nodes: tuple[str, ...], values: np.ndarray, variant: str) -> None:
+        n = len(nodes)
+        if values.shape != (n, n):
+            raise ValueError(f"matrix shape {values.shape} does not match {n} nodes")
+        values.setflags(write=False)
+        self._assign(nodes, values, variant)
 
     def index(self, node: str) -> int:
         try:
@@ -60,8 +58,7 @@ class InfluenceMatrix:
         return float(self.values[self.index(i), self.index(j)])
 
 
-@dataclass(frozen=True)
-class GradeSchema:
+class GradeSchema(_Record):
     """Ordered binning of influence values into grades 1..m (0 reserved for no influence).
 
     With `upper_inclusive` (the default) each bound closes its interval from
@@ -71,23 +68,25 @@ class GradeSchema:
     (0, .25), [.25, .5), ..., [.92, 1), {1}.
     """
 
-    bounds: tuple[float, ...]
-    upper_inclusive: bool = True
-    labels: tuple[str, ...] | None = None
+    __slots__ = _fields = ("bounds", "upper_inclusive", "labels")
 
-    def __post_init__(self) -> None:
-        if not self.bounds:
+    def __init__(
+        self,
+        bounds: tuple[float, ...],
+        upper_inclusive: bool = True,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        self._assign(bounds, upper_inclusive, labels)
+        if not bounds:
             raise ValueError("schema needs at least one bound")
-        if any(b2 <= b1 for b1, b2 in zip(self.bounds, self.bounds[1:])):
-            raise ValueError(f"bounds must be strictly increasing: {self.bounds}")
-        if self.bounds[-1] != 1.0:
-            raise ValueError(f"last bound must be 1.0, got {self.bounds[-1]}")
-        if self.bounds[0] <= 0:
-            raise ValueError(f"bounds must be positive: {self.bounds}")
-        if self.labels is not None and len(self.labels) != self.positive_grades:
-            raise ValueError(
-                f"{len(self.labels)} labels for {self.positive_grades} grades"
-            )
+        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+            raise ValueError(f"bounds must be strictly increasing: {bounds}")
+        if bounds[-1] != 1.0:
+            raise ValueError(f"last bound must be 1.0, got {bounds[-1]}")
+        if bounds[0] <= 0:
+            raise ValueError(f"bounds must be positive: {bounds}")
+        if labels is not None and len(labels) != self.positive_grades:
+            raise ValueError(f"{len(labels)} labels for {self.positive_grades} grades")
 
     @property
     def positive_grades(self) -> int:
@@ -140,24 +139,23 @@ def load_grade_schema(path: str) -> GradeSchema:
     return GradeSchema(bounds=tuple(bounds), upper_inclusive=True, labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class RhoPath:
+class RhoPath(_Record):
     """Simple influence chain from an influencer to an affected lender.
 
     nodes[0] is the influencer, nodes[-1] the lender it eventually reaches;
     influences[k] is the direct influence of nodes[k] on nodes[k+1].
     """
 
-    nodes: tuple[str, ...]
-    influences: tuple[float, ...]
+    __slots__ = _fields = ("nodes", "influences")
 
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 2 or len(self.influences) != len(self.nodes) - 1:
+    def __init__(self, nodes: tuple[str, ...], influences: tuple[float, ...]) -> None:
+        if len(nodes) < 2 or len(influences) != len(nodes) - 1:
             raise ValueError("need n+1 nodes for n steps, n >= 1")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"path revisits a node: {self.nodes}")
-        if any(c <= 0 for c in self.influences):
-            raise ValueError(f"step influences must be positive: {self.influences}")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"path revisits a node: {nodes}")
+        if any(c <= 0 for c in influences):
+            raise ValueError(f"step influences must be positive: {influences}")
+        self._assign(nodes, influences)
 
     @property
     def length(self) -> int:

@@ -4,23 +4,23 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .network import node_sort_key
+from .network import _tuple_eq, _tuple_ne, node_sort_key
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple):
     """Nodes ranked by score: rank 1 is best, exact-score ties share a rank
     and the following rank skips (1, 2, 2, 4)."""
 
     ranks: dict[str, int]
     order: tuple[str, ...]
     scores: dict[str, float]
+
+    __eq__, __ne__ = _tuple_eq, _tuple_ne
 
 
 def rank(scores: Mapping[str, float]) -> Ranking:

@@ -27,27 +27,25 @@ arrays.  The simulation index sums exactly, like the path methods
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .groups import DEFAULT_ENUMERATION_CAP, _band, _floor, _non_dummies, _reaches
-from .network import ExposureNetwork, ThresholdPolicy, threshold
+from .groups import DEFAULT_ENUMERATION_CAP, _band, _debug, _floor, _non_dummies, _reaches
+from .network import ExposureNetwork, ThresholdPolicy, _Record, _tuple_eq, _tuple_ne, threshold
 from .paths import InfluenceMatrix, _as_matrix, _weighted_scores
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class CascadeTrace:
+class CascadeTrace(NamedTuple):
     """Staged default propagation: the seed set, then each wave of new defaults."""
 
     initial: frozenset[str]
     stages: tuple[frozenset[str], ...]
     stage_limit: int | None = None
+
+    __eq__, __ne__ = _tuple_eq, _tuple_ne
 
     @property
     def defaulted(self) -> frozenset[str]:
@@ -57,8 +55,7 @@ class CascadeTrace:
         return frozenset(result)
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
+class SimulationPlan(_Record):
     """How initial default sets are drawn.
 
     mode "exhaustive" enumerates every nonempty set of at most k0_max nodes
@@ -68,24 +65,28 @@ class SimulationPlan:
     draws).  Random mode requires a seed so runs are reproducible.
     """
 
-    mode: str = "random"
-    runs: int = 5000
-    k0_max: int = 5
-    seed: int | None = None
-    probabilities: dict[str, float] | None = None
+    __slots__ = _fields = ("mode", "runs", "k0_max", "seed", "probabilities")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
-        if self.k0_max < 1:
-            raise ValueError(f"k0_max must be at least 1, got {self.k0_max}")
-        if self.mode == "random":
-            if self.runs <= 0:
-                raise ValueError(f"runs must be positive, got {self.runs}")
-            if self.seed is None:
+    def __init__(
+        self,
+        mode: str = "random",
+        runs: int = 5000,
+        k0_max: int = 5,
+        seed: int | None = None,
+        probabilities: dict[str, float] | None = None,
+    ) -> None:
+        self._assign(mode, runs, k0_max, seed, probabilities)
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+        if k0_max < 1:
+            raise ValueError(f"k0_max must be at least 1, got {k0_max}")
+        if mode == "random":
+            if runs <= 0:
+                raise ValueError(f"runs must be positive, got {runs}")
+            if seed is None:
                 raise ValueError("random mode requires a seed")
-        if self.probabilities is not None:
-            for node, p in self.probabilities.items():
+        if probabilities is not None:
+            for node, p in probabilities.items():
                 if not 0 <= p <= 1:
                     raise ValueError(f"probability for {node!r} out of [0, 1]: {p}")
 
@@ -457,7 +458,8 @@ def _simulate_rows(
         for i in alone:
             if i != j:
                 row[i] += seeded[j] - seeded[i]
-    logger.debug(
+    _debug(
+        __name__,
         "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
         "%d redundancy checks settled by a solo cascade, %d supports cached "
         "for %d support-cache hits",

@@ -177,26 +177,32 @@ KBI_AND_PATH = ("--q", "out-share:0.25", "--method", "kbi,maxpath", "--emit-matr
 WIDE_LENDER = [("L", f"b{i}", 1 + i % 5) for i in range(12)]
 
 
-def _numpy_loaded(argv):
-    """Run ``lric-net`` on `argv` in a fresh process: its output, and
-    whether numpy was imported by its end.  Exact sums use ints and
-    ``math.fsum``, so fractions and decimal must stay unloaded."""
+# Modules a plain run leaves unloaded: numpy (only the library functions
+# that return arrays use it), fractions and decimal (exact sums use ints and
+# ``math.fsum``), and dataclasses, inspect, logging, json and pathlib, which
+# cost start-up time and are not needed.
+UNLOADED = (
+    "numpy", "fractions", "decimal", "dataclasses", "inspect", "logging", "json", "pathlib",
+)
+
+
+def _loaded(argv):
+    """Run ``lric-net`` on `argv` in a fresh ``python -S`` process, so that no
+    site hook imports any of `UNLOADED` first: its output, and which of them
+    it had imported by its end."""
     probe = (
         "import sys, lricnet, lricnet.cli\n"
-        "assert 'numpy' not in sys.modules\n"
         "code = lricnet.cli.main(sys.argv[1:])\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)\n"
+        f"print('loaded:', *sorted(set({UNLOADED!r}) & set(sys.modules)), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     child = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [sys.executable, "-S", "-c", probe, *argv],
         env=_child_env(), capture_output=True, timeout=60, check=True,
     )
-    numpy, exact = child.stderr.splitlines()
-    assert numpy in (b"True", b"False"), child.stderr
-    assert exact == b"[]", child.stderr
-    return child.stdout.decode(), numpy == b"True"
+    marker, *loaded = child.stderr.decode().splitlines()[-1].split()
+    assert marker == "loaded:", child.stderr
+    return child.stdout.decode(), loaded
 
 
 @pytest.mark.parametrize("method, imported", [("kbi,maxpath", False), ("all", False)])
@@ -206,13 +212,13 @@ def test_numpy_is_imported_only_by_the_methods_that_need_it(tmp_path, method, im
     edges = str(write_edges_csv(tmp_path / "edges.csv", EX1_EDGES + WIDE_LENDER))
     argv = ["compute", "--edges", edges, *KBI_AND_PATH[:2], "--method", method,
             "--sim-mode", "exhaustive", "--k0-max", "2", "--emit-matrices"]
-    out, loaded = _numpy_loaded(argv)
+    out, loaded = _loaded(argv)
     names = METHOD_ORDER if method == "all" else method.split(",")
     expected = []
     for name in names:
         expected += [f"# {name}", f"# {name} matrix"] if name in POLICY_METHODS else [f"# {name}"]
     assert [line for line in out.splitlines() if line.startswith("# ")] == expected
-    assert loaded is imported
+    assert loaded == (["numpy"] if imported else [])
 
 
 def test_cascade_and_compare_leave_numpy_unloaded(ex1_csv, tmp_path):
@@ -224,12 +230,21 @@ def test_cascade_and_compare_leave_numpy_unloaded(ex1_csv, tmp_path):
             ("c", {"x": 3.0, "y": 1.0, "z": 2.0}),
         )
     ]
-    out, loaded = _numpy_loaded(
+    out, loaded = _loaded(
         ["cascade", "--edges", ex1_csv, "--q", "out-share:0.25", "--initial", "10"]
     )
-    assert out.startswith("initial: 10\n") and not loaded
-    out, loaded = _numpy_loaded(["compare", "--rankings", *files])
-    assert out.startswith("ranking,a,b,c\n") and not loaded
+    assert out.startswith("initial: 10\n") and loaded == []
+    out, loaded = _loaded(["compare", "--rankings", *files])
+    assert out.startswith("ranking,a,b,c\n") and loaded == []
+
+
+def test_only_a_verbose_run_loads_logging(ex1_csv):
+    argv = ["compute", "--edges", ex1_csv, *KBI_AND_PATH]
+    quiet, loaded = _loaded(argv)
+    assert loaded == []
+    loud, loaded = _loaded(["-vv", *argv])
+    assert loud == quiet
+    assert loaded == ["logging"]
 
 
 def test_compute_walks_each_lender_once_for_kbi_and_paths(capsys, ex1, ex1_csv, monkeypatch):

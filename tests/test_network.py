@@ -254,9 +254,9 @@ def test_views_equal_edge_scans():
         net = ExposureNetwork(nodes=tuple(sorted(ids, key=node_sort_key)), edges=edges)
         assert net.index == {v: k for k, v in enumerate(net.nodes)}
         for v in ids:
-            # bit-equal to the left-to-right sum in edges order
-            assert out_strength(net, v) == sum(w for (a, _), w in edges.items() if a == v)
-            assert in_strength(net, v) == sum(w for (_, b), w in edges.items() if b == v)
+            # the exact sum rounded once, whatever the order of the edges
+            assert out_strength(net, v) == math.fsum(w for (a, _), w in edges.items() if a == v)
+            assert in_strength(net, v) == math.fsum(w for (_, b), w in edges.items() if b == v)
             scanned = [b for (a, b) in edges if a == v]
             assert net.borrowers_of(v) == tuple(sorted(scanned, key=node_sort_key))
         assert net.borrowers_of("unknown") == ()

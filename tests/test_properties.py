@@ -327,3 +327,23 @@ def test_every_method_is_bitwise_invariant_under_relabeling():
             else:
                 assert {names[v]: x for v, x in scores.items()} == after[method], (seed, method)
     assert reordered > 150
+
+
+def test_every_method_is_bitwise_invariant_under_shuffled_edge_records():
+    # same labels, so the grade-score ties of multt and maxt stay put too;
+    # repeated pairs and every node's strengths are exact sums, whatever the
+    # order of the records
+    rng = random.Random(20261020)
+    for seed in range(200):
+        net = _float_network(rng)
+        policy = OutShareQuota(rng.choice(FRACTIONS))
+        s = (None, 1, 2, 3)[seed % 4]
+        records = [
+            (a, b, w) for (a, b), loan in net.edges.items()
+            for w in [loan] + [rng.uniform(0.1, 100.0) for _ in range(rng.randint(0, 2))]
+        ]
+        ordered = ingest_edges(records)
+        rng.shuffle(records)
+        shuffled = ingest_edges(records)
+        assert shuffled == ordered, seed
+        assert _every_method(shuffled, policy, s) == _every_method(ordered, policy, s), seed
