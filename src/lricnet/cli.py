@@ -61,9 +61,9 @@ from .paths import (
 from .ranking import _comparison_rows, gk_gamma, kendall_tau, rank
 from .simulation import (
     SimulationPlan,
-    _cascade_trace,
     _CascadeEngine,
     _credits,
+    _node_indices,
     _share_rows,
     _sim_scores,
     _simulate_rows,
@@ -83,35 +83,45 @@ CLASSICAL_METHODS = (
 POLICY_METHODS = ("kbi",) + PATH_METHODS + ("sim",)
 METHOD_ORDER = CLASSICAL_METHODS + POLICY_METHODS
 
-_DEFAULTS: dict[str, dict] = {
+# per setting, its JSON type and built-in default; null is allowed only
+# where the default is null
+_DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
     "compute": {
-        "edges": None,
-        "attributes": None,
-        "no_net": False,
-        "normalize_by": None,
-        "q": None,
-        "method": "all",
-        "s": None,
-        "grades": "five-level",
-        "sim_mode": "random",
-        "runs": 5000,
-        "k0_max": 5,
-        "seed": None,
-        "default_prob_attr": None,
-        "damping": 0.85,
-        "emit_matrices": False,
-        "format": "csv",
-        "output_dir": None,
+        "edges": ("string", None),
+        "attributes": ("string", None),
+        "no_net": ("boolean", False),
+        "normalize_by": ("string", None),
+        "q": ("string", None),
+        "method": ("string", "all"),
+        "s": ("integer", None),
+        "grades": ("string", "five-level"),
+        "sim_mode": ("string", "random"),
+        "runs": ("integer", 5000),
+        "k0_max": ("integer", 5),
+        "seed": ("integer", None),
+        "default_prob_attr": ("string", None),
+        "damping": ("number", 0.85),
+        "emit_matrices": ("boolean", False),
+        "format": ("string", "csv"),
+        "output_dir": ("string", None),
     },
     "cascade": {
-        "edges": None,
-        "attributes": None,
-        "no_net": False,
-        "normalize_by": None,
-        "q": None,
-        "s": None,
-        "initial": None,
+        "edges": ("string", None),
+        "attributes": ("string", None),
+        "no_net": ("boolean", False),
+        "normalize_by": ("string", None),
+        "q": ("string", None),
+        "s": ("integer", None),
+        "initial": ("string", None),
     },
+}
+# per JSON type, the Python types of its values and how a message names it;
+# bool is an int subclass, but `"k0_max": true` is no count
+_JSON_TYPES = {
+    "string": ((str,), "a string"),
+    "integer": ((int,), "an integer"),
+    "number": ((int, float), "a number"),
+    "boolean": ((bool,), "true or false"),
 }
 
 
@@ -192,7 +202,8 @@ def _load_config(path: str, allowed: set[str]) -> dict:
 
 
 def _merge_settings(args: argparse.Namespace, command: str) -> dict:
-    settings = dict(_DEFAULTS[command])
+    spec = _DEFAULTS[command]
+    settings = {key: default for key, (_, default) in spec.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         settings.update(_load_config(config_path, allowed=set(settings)))
@@ -200,19 +211,15 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    for key in ("s", "runs", "k0_max", "seed"):
-        value = settings.get(key)
-        # bool is an int subclass, but `"k0_max": true` is no count
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    if settings.get("s") is not None and settings["s"] < 1:
+    for key, (kind, default) in spec.items():
+        value = settings[key]
+        if value is None and default is None:
+            continue
+        types, name = _JSON_TYPES[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
+            raise ValueError(f"{key} must be {name}, got {value!r}")
+    if settings["s"] is not None and settings["s"] < 1:
         raise ValueError(f"s must be at least 1, got {settings['s']}")
-    damping = settings.get("damping")
-    if isinstance(damping, bool) or not isinstance(damping, (int, float, type(None))):
-        raise ValueError(f"damping must be a number, got {damping!r}")
-    for key in ("no_net", "emit_matrices"):
-        if key in settings and not isinstance(settings[key], bool):
-            raise ValueError(f"{key} must be true or false, got {settings[key]!r}")
     return settings
 
 
@@ -410,43 +417,51 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
         raise ValueError("--q is required")
     net = _build_network(settings)
     policy = parse_policy(settings["q"])
-    shares = _share_rows(net, policy)
-    initial = frozenset(
-        x.strip() for x in str(settings["initial"]).split(",") if x.strip()
-    )
-    trace = _cascade_trace(net.nodes, shares, initial, settings["s"])
-    print(f"initial: {_format_nodes(trace.initial)}")
-    for stage_no, stage in enumerate(trace.stages, start=1):
-        print(f"stage {stage_no}: {_format_nodes(stage)}")
-    print(f"defaulted: {_format_nodes(trace.defaulted)}")
-    engine = _CascadeEngine(shares, stage_limit=settings["s"])
-    credits = _credits(engine, frozenset(net.index[v] for v in initial))
-    for node in sorted(trace.defaulted - trace.initial, key=node_sort_key):
-        causes = (net.nodes[j] for j in credits[net.index[node]])
-        print(f"pivotal for {node}: {_format_nodes(causes)}")
+    engine = _CascadeEngine(_share_rows(net, policy), stage_limit=settings["s"])
+    initial = frozenset(x.strip() for x in settings["initial"].split(",") if x.strip())
+    if not initial:
+        raise ValueError("initial default set must be nonempty")
+    seeds = frozenset(_node_indices(net.nodes, initial))
+    stages = engine.stages(seeds)
+    print(f"initial: {_format_nodes(initial)}")
+    for stage_no, stage in enumerate(stages, start=1):
+        print(f"stage {stage_no}: {_format_nodes(net.nodes[k] for k in stage)}")
+    print(f"defaulted: {_format_nodes(net.nodes[k] for k in seeds.union(*stages))}")
+    credits = _credits(engine, seeds)
+    for i in sorted(credits, key=lambda i: node_sort_key(net.nodes[i])):
+        print(f"pivotal for {net.nodes[i]}: {_format_nodes(net.nodes[j] for j in credits[i])}")
     return 0
 
 
-def _read_scores_csv(path: str) -> dict[str, float]:
+def _read_ranking_csv(path: str) -> dict[str, int]:
+    """The ranks of a score file: its `rank` column when the header is
+    ``node,score,rank``, as `compute` writes, else the ranks of its scores."""
     rows = _csv_rows(path, "node,score,...", lambda h: h[:2] == ["node", "score"])
-    next(rows)
+    _, header = next(rows)
+    ranked = header == ["node", "score", "rank"]
     scores: dict[str, float] = {}
+    ranks: dict[str, int] = {}
     for lineno, row in rows:
-        if len(row) < 2:
-            raise ValueError(f"{path}: line {lineno}: expected at least 2 fields")
+        if len(row) < 2 + ranked:
+            raise ValueError(f"{path}: line {lineno}: expected at least {2 + ranked} fields")
         node = row[0].strip()
         if node in scores:
             raise ValueError(f"{path}: line {lineno}: duplicate node {node!r}")
         scores[node] = _csv_float(path, lineno, row[1], "score")
+        if ranked:
+            digits = row[2].strip()
+            if not digits.isdecimal() or int(digits) < 1:
+                raise ValueError(f"{path}: line {lineno}: bad rank {row[2]!r}")
+            ranks[node] = int(digits)
     if not scores:
         raise ValueError(f"{path}: no score rows")
-    return scores
+    return ranks if ranked else rank(scores).ranks
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     if len(args.files) < 2:
         raise ValueError("need at least two score files to compare")
-    rankings: dict[str, object] = {}
+    rankings: dict[str, dict[str, int]] = {}
     for path in args.files:
         # the file name without its last suffix, as pathlib's ``stem``
         base = os.path.basename(path)
@@ -454,7 +469,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         name = stem if stem and suffix else base
         if name in rankings:
             raise ValueError(f"duplicate ranking name {name!r}; rename one input file")
-        rankings[name] = rank(_read_scores_csv(path))
+        rankings[name] = _read_ranking_csv(path)
     if len(args.files) == 2:
         func = kendall_tau if args.coefficient == "tau" else gk_gamma
         first, second = rankings.values()

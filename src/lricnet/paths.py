@@ -430,9 +430,7 @@ def lric_paths_matrix(
     schema: GradeSchema | None = None,
 ) -> InfluenceMatrix:
     """Long-range influence matrix: entry (i, j) aggregates all chains j -> i."""
-    if method not in PATH_METHODS:
-        raise ValueError(f"method must be one of {PATH_METHODS}, got {method!r}")
-    return lric_paths_matrices(net, policy, s, schema)[method]
+    return _as_matrix(net.nodes, _path_rows(net, policy, method, s, schema), f"paths:{method}")
 
 
 def lric_paths_vector(
@@ -444,8 +442,21 @@ def lric_paths_vector(
 ) -> dict[str, float]:
     """Final index: lending-weighted column sums of the long-range matrix,
     normalized to sum 1."""
-    matrix = lric_paths_matrix(net, policy, method, s, schema)
-    return weighted_vector(net, matrix)
+    return _weighted_scores(net, net.nodes, _path_rows(net, policy, method, s, schema))
+
+
+def _path_rows(
+    net: ExposureNetwork,
+    policy: ThresholdPolicy,
+    method: str,
+    s: int | None,
+    schema: GradeSchema | None,
+) -> list[list[float]]:
+    """The matrix of :func:`lric_paths_matrix`, as a list of rows."""
+    if method not in PATH_METHODS:
+        raise ValueError(f"method must be one of {PATH_METHODS}, got {method!r}")
+    rows = _influence_rows(net, _lender_passes(net, policy))
+    return _fold_chains(net.nodes, rows, s, schema)[method]
 
 
 def weighted_vector(net: ExposureNetwork, matrix: InfluenceMatrix) -> dict[str, float]:

@@ -192,14 +192,10 @@ class _CascadeEngine:
 
     def _cascade(self, initial: frozenset[int]) -> frozenset[int]:
         self.cascades += 1
-        if not self._from_solo or len(initial) < 2:
-            return initial.union(*self.stages(initial))
-        d = set().union(*map(self.solo, initial))
-        frontier = d
-        while fresh := self._fresh(d, frontier):
-            d |= fresh
-            frontier = fresh
-        return frozenset(d)
+        if self._from_solo and len(initial) > 1:
+            initial = frozenset().union(*map(self.solo, initial))
+        stages = self.stages(initial)
+        return initial.union(*stages) if stages else initial
 
     def defaulted(self, initial: frozenset[int]) -> frozenset[int]:
         if len(initial) == 1:
@@ -278,13 +274,14 @@ class _CascadeEngine:
                         todo.append(i)
         return cascaded, reached
 
-    def attributions(self, initial: frozenset[int]) -> dict[int, frozenset[int]]:
-        """Per cascaded default, the seeds credited with causing it."""
-        cascaded, reached = self.reach(initial)
-        return {
-            i: frozenset(x for x, seen in reached.items() if i in seen)
-            for i in cascaded
-        }
+
+def _node_indices(nodes: tuple[str, ...], names: Iterable[str]) -> list[int]:
+    """The positions of `names` in `nodes`, in the order given."""
+    index = {v: k for k, v in enumerate(nodes)}
+    try:
+        return [index[v] for v in names]
+    except KeyError as exc:
+        raise ValueError(f"unknown node {exc.args[0]!r}") from None
 
 
 def cascade(
@@ -296,28 +293,15 @@ def cascade(
     already-defaulted borrowers sum to at least 1.  `s` caps the number of
     stages; None runs to the fixpoint.
     """
-    return _cascade_trace(c.nodes, c.values.tolist(), initial, s)
-
-
-def _cascade_trace(
-    nodes: tuple[str, ...],
-    rows: list[list[float]],
-    initial: frozenset[str] | set[str],
-    s: int | None,
-) -> CascadeTrace:
-    """:func:`cascade` over the share rows `rows` of `nodes`."""
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    index = {v: k for k, v in enumerate(nodes)}
-    try:
-        seed_idx = frozenset(index[v] for v in initial)
-    except KeyError as exc:
-        raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    engine = _CascadeEngine(rows, stage_limit=s)
-    stages = tuple(
-        frozenset(nodes[k] for k in stage) for stage in engine.stages(seed_idx)
+    engine = _CascadeEngine(c.values.tolist(), stage_limit=s)
+    stages = engine.stages(frozenset(_node_indices(c.nodes, initial)))
+    return CascadeTrace(
+        initial=frozenset(initial),
+        stages=tuple(frozenset(c.nodes[k] for k in stage) for stage in stages),
+        stage_limit=s,
     )
-    return CascadeTrace(initial=frozenset(initial), stages=stages, stage_limit=s)
 
 
 def pivotal_initiators(
@@ -332,17 +316,10 @@ def pivotal_initiators(
     node) and the seeds the node reaches over support edges.  The node
     must actually default under `initial`.
     """
-    index = {v: k for k, v in enumerate(c.nodes)}
-    if defaulted_node not in index:
-        raise ValueError(f"unknown node {defaulted_node!r}")
-    try:
-        seed_idx = frozenset(index[v] for v in initial)
-    except KeyError as exc:
-        raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    target = index[defaulted_node]
-    if target in seed_idx:
+    target, *seeds = _node_indices(c.nodes, [defaulted_node, *initial])
+    if target in seeds:
         return frozenset({defaulted_node})
-    credits = _credits(_CascadeEngine(c.values.tolist(), stage_limit=s), seed_idx)
+    credits = _credits(_CascadeEngine(c.values.tolist(), stage_limit=s), frozenset(seeds))
     if target not in credits:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"
@@ -353,9 +330,10 @@ def pivotal_initiators(
 def _credits(engine: _CascadeEngine, initial: frozenset[int]) -> dict[int, frozenset[int]]:
     """Per cascaded default of `initial`, the seeds credited with it: those
     whose solo cascade sinks it and those it reaches over support edges."""
+    cascaded, reached = engine.reach(initial)
     return {
-        i: frozenset(j for j in initial if i in engine.solo(j) or j in seeds)
-        for i, seeds in engine.attributions(initial).items()
+        i: frozenset(j for j in initial if i in engine.solo(j) or i in reached.get(j, ()))
+        for i in cascaded
     }
 
 

@@ -16,13 +16,19 @@ from lricnet import (
     Absolute,
     AttributeShare,
     OutShareQuota,
+    betweenness,
+    closeness,
+    gk_gamma,
     ingest_edges,
     kbi,
+    kendall_tau,
+    net_mutual_exposures,
     out_strength,
     pivotal_groups,
+    rank,
 )
 from lricnet import groups as groups_module
-from lricnet.cli import METHOD_ORDER, POLICY_METHODS, emit_report, parse_policy, run
+from lricnet.cli import _DEFAULTS, METHOD_ORDER, POLICY_METHODS, emit_report, parse_policy, run
 
 
 @pytest.fixture
@@ -186,13 +192,14 @@ UNLOADED = (
 )
 
 
-def _loaded(argv):
-    """Run ``lric-net`` on `argv` in a fresh ``python -S`` process, so that no
-    site hook imports any of `UNLOADED` first: its output, and which of them
-    it had imported by its end."""
+def _loaded(argv, body="code = lricnet.cli.main(sys.argv[1:])"):
+    """Run ``lric-net`` on `argv`, or the statements `body` that set `code`,
+    in a fresh ``python -S`` process, so that no site hook imports any of
+    `UNLOADED` first: its output, and which of them it had imported by its
+    end."""
     probe = (
         "import sys, lricnet, lricnet.cli\n"
-        "code = lricnet.cli.main(sys.argv[1:])\n"
+        f"{body}\n"
         f"print('loaded:', *sorted(set({UNLOADED!r}) & set(sys.modules)), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
@@ -236,6 +243,29 @@ def test_cascade_and_compare_leave_numpy_unloaded(ex1_csv, tmp_path):
     assert out.startswith("initial: 10\n") and loaded == []
     out, loaded = _loaded(["compare", "--rankings", *files])
     assert out.startswith("ranking,a,b,c\n") and loaded == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "kbi(net, policy)",
+        "lric_paths_vector(net, policy, 'maxpath')",
+        "lric_sim_vector(net, policy, SimulationPlan(mode='exhaustive', k0_max=2))",
+        "centrality_table(net)",
+    ],
+)
+def test_vector_functions_leave_numpy_unloaded(call):
+    # the functions that return scores work on lists of rows
+    body = (
+        "from lricnet import *\n"
+        f"net = ingest_edges({EX1_EDGES!r})\n"
+        "policy = OutShareQuota(0.25)\n"
+        f"print(type({call}).__name__)\n"
+        "code = 0"
+    )
+    out, loaded = _loaded([], body)
+    assert out.strip() in ("dict", "CentralityTable")
+    assert loaded == []
 
 
 def test_only_a_verbose_run_loads_logging(ex1_csv):
@@ -695,6 +725,65 @@ def test_compare_rejects_bad_score_file(capsys, tmp_path):
     assert code == 2 and "line 3" in err and "duplicate node" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-1", "1.5", "x", "", "1_0"])
+def test_compare_rejects_bad_rank(capsys, tmp_path, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"node,score,rank\na,0.5,{raw}\nb,0.4,2\n", encoding="utf-8")
+    good = _score_file(tmp_path / "good.csv", {"a": 1.0, "b": 2.0})
+    code, out, err = _run(capsys, "compare", "--rankings", str(bad), good)
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 2: bad rank {raw!r}\n"
+
+
+def test_compare_ranks_by_the_rank_column_else_by_score(capsys, tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("node,score\nx,3\ny,2\nz,1\n", encoding="utf-8")
+    ranked = tmp_path / "ranked.csv"
+    ranked.write_text("node,score,rank\nx,3,3\ny,2,2\nz,1,1\n", encoding="utf-8")
+    rescored = _score_file(tmp_path / "rescored.csv", {"x": 30.0, "y": 20.0, "z": 10.0})
+    code, out, _ = _run(capsys, "compare", "--rankings", str(scores), rescored)
+    assert code == 0 and out == "tau: 1.000000\n"
+    code, out, _ = _run(capsys, "compare", "--rankings", str(ranked), rescored)
+    assert code == 0 and out == "tau: -1.000000\n"
+
+
+def test_compute_compare_round_trip_keeps_exact_ranks(capsys, tmp_path):
+    # closeness scores of this net that print alike at six decimals differ
+    # exactly, so re-ranking the printed scores would move the coefficients
+    rng = random.Random(0)
+    edges = [
+        (str(a), str(b), rng.randint(1, 100))
+        for a in range(30)
+        for b in sorted(rng.sample([v for v in range(30) if v != a], 3))
+    ]
+    path = str(write_edges_csv(tmp_path / "edges.csv", edges))
+    methods = ("closeness-in", "closeness-out", "betweenness")
+    outdir = tmp_path / "reports"
+    code, _, err = _run(
+        capsys, "compute", "--edges", path, "--method", ",".join(methods),
+        "--output-dir", str(outdir),
+    )
+    assert code == 0, err
+    net = net_mutual_exposures(ingest_edges(edges))
+    scores = dict(zip(methods, (closeness(net, "in"), closeness(net, "out"), betweenness(net))))
+    exact = {name: rank(s) for name, s in scores.items()}
+    printed = {
+        name: rank({v: float(f"{x:.6f}") for v, x in s.items()}) for name, s in scores.items()
+    }
+    files = [str(outdir / f"{name}.csv") for name in methods]
+    for coef, func in (("tau", kendall_tau), ("gamma", gk_gamma)):
+        value = func(exact["closeness-in"], exact["closeness-out"])
+        assert value != func(printed["closeness-in"], printed["closeness-out"])
+        code, out, _ = _run(capsys, "compare", "--rankings", *files[:2], "--coef", coef)
+        assert code == 0 and out == f"{coef}: {value:.6f}\n"
+        code, out, _ = _run(capsys, "compare", "--rankings", *files, "--coef", coef)
+        rows = [
+            ",".join([a, *(f"{func(exact[a], exact[b]):.6f}" for b in methods)])
+            for a in methods
+        ]
+        assert code == 0 and out.splitlines() == ["ranking," + ",".join(methods), *rows]
+
+
 def _oversized_field(tmp_path, name, header, row):
     path = tmp_path / name
     path.write_text(f"{header}\n{row}\n" + "x" * 200_000 + "\n", encoding="utf-8")
@@ -741,6 +830,78 @@ def test_config_rejects_non_boolean_flags(capsys, ex1_csv, tmp_path, key, value,
     assert err == f"error: {key} must be true or false, got {shown}\n"
 
 
+# each config key's JSON type, and whether it may be null
+CONFIG_TYPES = {
+    "compute": {
+        "edges": ("string", True),
+        "attributes": ("string", True),
+        "no_net": ("boolean", False),
+        "normalize_by": ("string", True),
+        "q": ("string", True),
+        "method": ("string", False),
+        "s": ("integer", True),
+        "grades": ("string", False),
+        "sim_mode": ("string", False),
+        "runs": ("integer", False),
+        "k0_max": ("integer", False),
+        "seed": ("integer", True),
+        "default_prob_attr": ("string", True),
+        "damping": ("number", False),
+        "emit_matrices": ("boolean", False),
+        "format": ("string", False),
+        "output_dir": ("string", True),
+    },
+    "cascade": {
+        "edges": ("string", True),
+        "attributes": ("string", True),
+        "no_net": ("boolean", False),
+        "normalize_by": ("string", True),
+        "q": ("string", True),
+        "s": ("integer", True),
+        "initial": ("string", True),
+    },
+}
+JSON_SAMPLES = {
+    "string": "x", "integer": 2, "number": 0.5, "boolean": True,
+    "array": [], "object": {}, "null": None,
+}
+# per JSON type of a key: the sample types it takes, and how a message names it
+JSON_ACCEPTS = {
+    "string": ({"string"}, "a string"),
+    "integer": ({"integer"}, "an integer"),
+    "number": ({"integer", "number"}, "a number"),
+    "boolean": ({"boolean"}, "true or false"),
+}
+
+
+def test_config_types_cover_every_setting():
+    assert {c: list(keys) for c, keys in CONFIG_TYPES.items()} == {
+        c: list(keys) for c, keys in _DEFAULTS.items()
+    }
+
+
+def _wrong_config_values():
+    for command, keys in CONFIG_TYPES.items():
+        for key, (kind, nullable) in keys.items():
+            accepted, name = JSON_ACCEPTS[kind]
+            for sample, value in JSON_SAMPLES.items():
+                if sample not in accepted and not (sample == "null" and nullable):
+                    yield pytest.param(command, key, value, name, id=f"{command}-{key}-{sample}")
+
+
+@pytest.mark.parametrize("command, key, value, name", list(_wrong_config_values()))
+def test_config_refuses_values_of_the_wrong_json_type(
+    capsys, tmp_path, monkeypatch, command, key, value, name
+):
+    # in tmp_path, a value taken for a path or a file descriptor touches
+    # nothing else
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}), encoding="utf-8")
+    code, out, err = _run(capsys, command, "--config", "cfg.json")
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be {name}, got {value!r}\n"
+
+
 def test_config_false_keeps_netting_on(capsys, tmp_path):
     edges = tmp_path / "m.csv"
     edges.write_text("from,to,weight\na,b,10\nb,a,4\n", encoding="utf-8")
@@ -774,5 +935,5 @@ def test_cascade_builds_engines_independent_of_defaults(capsys, tmp_path, monkey
     )
     assert code == 0, err
     assert out.count("pivotal for") == length
-    # one engine stages the cascade and one credits every default
-    assert len(built) == 2
+    # one engine stages the cascade and credits every default
+    assert len(built) == 1

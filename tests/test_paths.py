@@ -385,6 +385,19 @@ def test_one_pass_fold_matches_per_pair_oracle():
                 assert single.variant == matrix.variant
 
 
+def test_paths_vector_is_the_weighted_matrix_bit_for_bit():
+    rng = random.Random(20261020)
+    for case in range(60):
+        net = _random_fold_net(rng)
+        policy = OutShareQuota(rng.choice([0.2, 0.25, 0.4, 0.5, 1.0]))
+        s = (None, 1, 2, 3)[case % 4]
+        for method in PATH_METHODS:
+            got = lric_paths_vector(net, policy, method, s)
+            ref = weighted_vector(net, lric_paths_matrix(net, policy, method, s))
+            assert list(got) == list(ref)
+            assert [x.hex() for x in got.values()] == [x.hex() for x in ref.values()], case
+
+
 def test_sumpaths_fold_stays_exact_when_it_folds_long_chain_lists(monkeypatch):
     # a spill after every 2 chains folds each list into its exact expansion
     monkeypatch.setattr(paths_module, "_SPILL", 2)

@@ -9,13 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lricnet import read_attributes_csv, read_edges_csv
-from lricnet.cli import _read_quota_csv, _read_scores_csv
+from lricnet.cli import _read_quota_csv, _read_ranking_csv
 
 READERS = {
     "edges": read_edges_csv,
     "attributes": read_attributes_csv,
     "quota": _read_quota_csv,
-    "scores": _read_scores_csv,
+    "scores": _read_ranking_csv,
 }
 HEADERS = ["from,to,weight", "node,gdp", "node,gdp,pop", "node,q", "node,score,rank", "node"]
 CELLS = ["a", "b", "1", "0", "-2.5", "1e308", "1e309", "nan", "-inf", "", " ", '"', '"a,b"']

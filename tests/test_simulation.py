@@ -378,8 +378,8 @@ def test_redundancy_through_two_seeds_together():
     assert pivotal_initiators(c, "L", seeds) == frozenset({"y"})
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    attr = engine.attributions(frozenset(index[v] for v in seeds))
-    assert attr[index["L"]] == frozenset({index["y"]})
+    _, reached = engine.reach(frozenset(index[v] for v in seeds))
+    assert {x for x, seen in reached.items() if index["L"] in seen} == {index["y"]}
     assert engine.solo_witnesses == 0
 
 
@@ -402,7 +402,7 @@ def test_solo_witness_settles_redundancy(ex1, quarter):
     # re-cascade of {10}
     engine = _CascadeEngine(share_matrix(ex1, quarter).values.tolist())
     index = {v: k for k, v in enumerate(ex1.nodes)}
-    engine.attributions(frozenset({index["7"], index["10"]}))
+    engine.reach(frozenset({index["7"], index["10"]}))
     assert engine.solo_witnesses == 1
     # {7, 10} and the two solo cascades; the fallback for 10 re-uses {7}'s
     assert engine.cascades == 3
@@ -445,8 +445,9 @@ def test_redundant_seed_passes_no_credit():
     assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x"})
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    attr = engine.attributions(frozenset(index[v] for v in ("x", "y", "z")))
-    assert attr == {index["L"]: frozenset()}
+    cascaded, reached = engine.reach(frozenset(index[v] for v in ("x", "y", "z")))
+    assert cascaded == {index["L"]}
+    assert not any(index["L"] in seen for seen in reached.values())
 
 
 def test_all_redundant_seeds_keep_solo_credit(quarter):
@@ -456,9 +457,9 @@ def test_all_redundant_seeds_keep_solo_credit(quarter):
     c = share_matrix(net, quarter)
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    assert engine.attributions(frozenset({index["x"], index["y"]})) == {
-        index["L"]: frozenset()
-    }
+    cascaded, reached = engine.reach(frozenset({index["x"], index["y"]}))
+    assert cascaded == {index["L"]}
+    assert not any(index["L"] in seen for seen in reached.values())
     assert pivotal_initiators(c, "L", {"x", "y"}) == frozenset({"x", "y"})
     matrix = simulate(net, quarter, SimulationPlan(mode="exhaustive", k0_max=2))
     # {x} and {x, y} both credit x, {y} and {x, y} both credit y
