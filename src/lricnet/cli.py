@@ -238,13 +238,21 @@ def _build_network(settings: dict) -> ExposureNetwork:
     return net
 
 
+def _cell(text: str) -> str:
+    """`text` as one CSV cell, quoted as the csv module quotes it: only when
+    it holds a comma, a double quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_report(scores: Mapping[str, float], fmt: str = "csv") -> bytes:
     """Serialize a score vector: CSV rows in rank order, or JSON with stable keys."""
     ranking = rank(scores)
     if fmt == "csv":
         lines = ["node,score,rank"]
         for node in ranking.order:
-            lines.append(f"{node},{scores[node]:.6f},{ranking.ranks[node]}")
+            lines.append(f"{_cell(node)},{scores[node]:.6f},{ranking.ranks[node]}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         import json
@@ -255,8 +263,9 @@ def emit_report(scores: Mapping[str, float], fmt: str = "csv") -> bytes:
 
 
 def _matrix_csv(nodes: Sequence[str], values: list[list[float]]) -> bytes:
-    lines = [",".join(["node", *nodes])]
-    for node, row in zip(nodes, values):
+    ids = [*map(_cell, nodes)]
+    lines = [",".join(["node", *ids])]
+    for node, row in zip(ids, values):
         cells = ",".join([f"{value:.6f}" for value in row])
         lines.append(f"{node},{cells}")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -396,7 +405,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
     for lender, borrower in sorted(
         net.edges, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))
     ):
-        lines.append(f"{lender},{borrower},{net.edges[(lender, borrower)]:.6f}")
+        lines.append(f"{_cell(lender)},{_cell(borrower)},{net.edges[(lender, borrower)]:.6f}")
     text = "\n".join(lines) + "\n"
     if args.output:
         _write(args.output, text.encode("utf-8"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .network import ExposureNetwork, ThresholdPolicy, _tuple_eq, _tuple_ne, threshold
@@ -48,20 +48,19 @@ def _floor(q: float) -> float:
     return q * (1 - TOL)
 
 
-def _reaches(loans: list[float], floor: float) -> bool:
-    """Whether the exact sum of `loans` reaches `floor`, in any order: ``math.fsum``
-    rounds it once (Shewchuk, DCG 18, 1997), so the sign is exact."""
-    return math.fsum([*loans, -floor]) >= 0
+def _exact(values: list[float]) -> tuple[int, list[int]]:
+    """The floats `values` as exact ints over one power-of-two denominator
+    (every float is a dyadic rational): the denominator and the ints, so
+    that int sums of them are exact rational sums."""
+    ratios = [x.as_integer_ratio() for x in values]
+    denominator = max([den for _, den in ratios], default=1)
+    return denominator, [num * (denominator // den) for num, den in ratios]
 
 
-def _band(loans: list[float], floor: float) -> tuple[float, float]:
-    """Bounds `low` < `floor` < `high`, off `floor` by 16 times the rounding
-    error of t, a float sum of some of `loans`: the exact sum is short of it
-    if t < low and reaches it if t >= high, and without a loan w it is short
-    if w > t - low and reaches it if w <= t - high (or t - w is compared
-    alike).  Only a case in between needs :func:`_reaches`."""
-    slack = (len(loans) + 1) * (math.fsum(map(abs, loans)) + abs(floor)) * 2.0**-49
-    return floor - slack, floor + slack
+def _need(floor: float, denominator: int) -> int:
+    """The least int total over `denominator` that reaches `floor`."""
+    num, den = floor.as_integer_ratio()
+    return -(-num * denominator // den)
 
 
 def is_critical(
@@ -78,7 +77,8 @@ def is_critical(
     for member in group:
         if member not in borrowers:
             raise ValueError(f"{member!r} is not a direct borrower of {lender!r}")
-    return _reaches([net.weight(lender, member) for member in group], _floor(q))
+    denominator, loans = _exact([net.weight(lender, member) for member in group])
+    return sum(loans) >= _need(_floor(q), denominator)
 
 
 def pivotal_members(
@@ -96,94 +96,81 @@ def pivotal_members(
         raise ValueError(f"group {sorted(group)} is not critical for {lender!r}")
     q = threshold(net, policy, lender)
     assert q is not None
-    loans = {member: net.weight(lender, member) for member in group}
-    return frozenset(
-        m for m in loans if not _reaches([w for o, w in loans.items() if o != m], _floor(q))
-    )
+    members = list(group)
+    denominator, loans = _exact([net.weight(lender, member) for member in members])
+    total, need = sum(loans), _need(_floor(q), denominator)
+    return frozenset(m for m, w in zip(members, loans) if total - w < need)
 
 
-def _groups(
-    weights: list[float], floor: float, pivotal_only: bool
-) -> Iterator[tuple[list[int], float]]:
-    """Groups of the borrowers with loans `weights` (node order) whose total
-    reaches `floor`; with `pivotal_only`, those whose largest member is pivotal.
+def _groups(loans: list[int], need: int, pivotal_only: bool) -> Iterator[tuple[list[int], int]]:
+    """Groups of the borrowers with exact int loans `loans` (node order, see
+    :func:`_exact`) whose total reaches `need`; with `pivotal_only`, those
+    whose largest member is pivotal.
 
     Yields ``(members, total)`` per group, in the preorder of a depth-first
     search that takes borrowers in index order, so the groups of each size
     come in lexicographic order.  `members` holds the indices in ascending
     order; it is one list that the search goes on to change, so a caller
-    copies what it keeps.  `total` is the rounded left-to-right sum of the
-    members' loans in index order, as ``sum()`` gives; decisions are exact.
+    copies what it keeps.  `total` is the exact int sum of the members' loans.
 
     The search skips a group and all its extensions (a) when all the
-    borrowers after it cannot lift its total to `floor`, or, with
+    borrowers after it cannot lift its total to `need`, or, with
     `pivotal_only`, (b) when its total without its largest member already
-    reaches `floor`: then no extension has a pivotal member.  A member is
+    reaches `need`: then no extension has a pivotal member.  A member is
     pivotal iff the largest one is, as the total without w falls as w grows.
-    Each test compares a float sum with the :func:`_band` of the loans, and
-    cut (b) and the critical test call :func:`_reaches` inside it.
     """
-    n = len(weights)
-    rest = [*accumulate(reversed(weights), initial=0.0)][::-1]  # rest[k]: loans k..
-    low, high = _band(weights, floor)
-    cut = low if pivotal_only else math.inf  # no cut (b) without `pivotal_only`
+    n = len(loans)
+    rest = [*accumulate(reversed(loans), initial=0)][::-1]  # rest[k]: loans k..
+    cut = need if pivotal_only else math.inf  # no cut (b) without `pivotal_only`
     members: list[int] = []
     # the open group is `members`, its total and its largest loan, and k the
     # next borrower to add; `parents` keeps the same for each shorter group
-    parents: list[tuple[int, float, float]] = []
-    k, total, largest = 0, 0.0, 0.0
+    parents: list[tuple[int, int, int]] = []
+    k, total, largest = 0, 0, 0
     while True:
-        if k == n or total + rest[k] < low:
+        if k == n or total + rest[k] < need:
             if not parents:
                 return
             k, total, largest = parents.pop()
             members.pop()
             continue
-        loan = weights[k]
+        loan = loans[k]
         grown = total + loan
         top = largest if largest > loan else loan
         k += 1
-        if (spared := grown - top) >= cut and (
-            spared >= high
-            or _reaches([*[weights[j] for j in members], loan, -top], floor)
-        ):
+        if grown - top >= cut:
             continue
         members.append(k - 1)
-        if grown >= high or (grown >= low and _reaches([weights[j] for j in members], floor)):
+        if grown >= need:
             yield members, grown
         parents.append((k, total, largest))
         total, largest = grown, top
 
 
-def _pivots(
-    weights: list[float], members: list[int], total: float, floor: float, low: float, high: float
-) -> list[int]:
-    """The members of a critical group, float sum `total`, without whose loan it
-    falls short of `floor`; `low`, `high` is the :func:`_band` of `weights`."""
-    spare, short = total - high, total - low  # as inline in `_tally`
-    return [i for i in members if weights[i] > short or (weights[i] > spare
-            and not _reaches([weights[j] for j in members if j != i], floor))]
+def _pivots(loans: list[int], members: list[int], total: int, need: int) -> list[int]:
+    """The members of a critical group, total `total`, without whose loan it
+    falls short of `need`."""
+    return [i for i in members if total - loans[i] < need]
 
 
-def _non_dummies(weights: list[float], floor: float) -> list[int]:
-    """The members of the inclusion-minimal groups of the loans `weights`
-    whose total reaches `floor`, by index.
+def _non_dummies(loans: list[int], need: int) -> list[int]:
+    """The members of the inclusion-minimal groups of the int loans `loans`
+    whose total reaches `need`, by index.
 
     With non-negative loans these are the members pivotal in some group
     (Felsenthal & Machover, *The Measurement of Voting Power*, 1998).  The
     search stops once every member is covered.
     """
-    low, high = _band(weights, floor)
-    uncovered = set(range(len(weights)))
-    hardest = max(weights, default=0.0)  # the largest loan still uncovered
-    for members, total in _groups(weights, floor, True):
-        if hardest <= total - high:
+    uncovered = set(range(len(loans)))
+    hardest = max(loans, default=0)  # the largest loan still uncovered
+    for members, total in _groups(loans, need, True):
+        if total - hardest >= need:
             continue  # total - w grows as w falls: no uncovered k is pivotal
-        uncovered.difference_update(_pivots(weights, members, total, floor, low, high))
+        uncovered.difference_update(_pivots(loans, members, total, need))
         if not uncovered:
             break
-        hardest = max([weights[k] for k in uncovered])
-    return [k for k in range(len(weights)) if k not in uncovered]
+        hardest = max([loans[k] for k in uncovered])
+    return [k for k in range(len(loans)) if k not in uncovered]
 
 
 def _search_input(
@@ -215,16 +202,20 @@ def _enumerate(
     if found is None:
         return []
     borrowers, weights, floor = found
-    low, high = _band(weights, floor)
+    denominator, loans = _exact(weights)
+    need = _need(floor, denominator)
     # preorder lists each size in lexicographic order; sizes come in turn
     by_size: list[list[CriticalGroup]] = [[] for _ in range(len(borrowers) + 1)]
-    for members, total in _groups(weights, floor, pivotal_only):
-        pivots = _pivots(weights, members, total, floor, low, high)
+    for members, total in _groups(loans, need, pivotal_only):
+        pivots = _pivots(loans, members, total, need)
+        rounded = 0.0
+        for k in members:  # the float total, left to right in node order
+            rounded += weights[k]
         by_size[len(members)].append(
             CriticalGroup(
                 lender=lender,
                 members=frozenset([borrowers[k] for k in members]),
-                total=total,
+                total=rounded,
                 pivotal=frozenset([borrowers[k] for k in pivots]),
             )
         )
@@ -270,17 +261,13 @@ def _units(net: ExposureNetwork, borrowers: tuple[str, ...], weights: list[float
     values = [*weights]
     for row in rows:
         values += row or ()
-    denominator = max([x.as_integer_ratio()[1] for x in values], default=1)
-
-    def exact(x: float) -> int:
-        num, den = x.as_integer_ratio()
-        return num * (denominator // den)
-
-    convert = int if denominator == 1 else exact
+    denominator, ints = _exact(values)
+    exact = iter(ints)
+    loans = list(islice(exact, len(weights)))
     return (
         denominator,
-        list(map(convert, weights)),
-        [None if row is None else list(map(convert, row)) for row in rows],
+        loans,
+        [None if row is None else list(islice(exact, len(row))) for row in rows],
     )
 
 
@@ -292,36 +279,28 @@ def _tally(
     added to its exact mass."""
     n = len(borrowers)
     denominator, loans, support = units
-    low, high = _band(weights, floor)
-    # float totals are exact while all loans sum to less than 2**53 units;
-    # otherwise a total within `slack` of a borrower's least one is summed
-    slack = 0.0 if sum(loans) < 2**53 else high - low
+    need = _need(floor, denominator)
     lcm = math.lcm(*range(1, n + 1))
     masses = [0] * n
-    least = [0] * n  # exact least totals, once `lowest` is set
-    lowest: list[float | None] = [None] * n
+    least: list[int | None] = [None] * n
     groups = 0
-    for members, total in _groups(weights, floor, True):
+    for members, total in _groups(loans, need, True):
         groups += 1
         factor = lcm // len(members)
-        spare, short = total - high, total - low  # `_pivots`' test, inline
+        spare = total - need  # `_pivots`' test, inline
         for i in members:
-            loan = weights[i]
-            if loan <= spare or (
-                loan <= short and _reaches([weights[j] for j in members if j != i], floor)
-            ):
-                continue
             term = loans[i]
+            if term <= spare:
+                continue
             row = support[i]
             if row is not None:
                 for j in members:  # i's own entry is 0
                     term += row[j]
             masses[i] += factor * term
-            bound = lowest[i]
-            if bound is None or total < bound + slack:
-                exact = sum([loans[j] for j in members])
-                if bound is None or exact < least[i]:
-                    least[i], lowest[i] = exact, exact / denominator
+            bound = least[i]
+            if bound is None or total < bound:
+                least[i] = total
+    lowest = [None if exact is None else exact / denominator for exact in least]
     return _LenderPass(borrowers, weights, masses, lowest, groups)
 
 
@@ -347,9 +326,8 @@ def _count(
     denominator, loans, support = units
     unit = math.gcd(*loans)
     u = [w // unit for w in loans]
-    num, den = floor.as_integer_ratio()
     # F, floor / unit rounded up; past the sum of all loans any F is alike
-    need = min(-(-num * denominator // (den * unit)), sum(u) + 1)
+    need = min(-(-_need(floor, denominator) // unit), sum(u) + 1)
     b = n + 1
     ones = (1 << b) - 1
     top = (1 << need * b) - 1  # the fields below F, all that a window reads

@@ -302,12 +302,17 @@ def _csv_rows(
     path: str, expected: str, header_ok: Callable[[list[str]], bool]
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(1, header)``, cells stripped, then ``(line number, fields)``
-    for each non-blank row of a UTF-8 CSV file.  An empty file, a header
-    `header_ok` refuses (`expected` describes the right one) and a row the
-    csv module cannot parse raise ValueError naming the path and line."""
+    for each non-blank row of a UTF-8 CSV file, a byte-order mark skipped.
+    An empty file, a header `header_ok` refuses (`expected` describes the
+    right one) and a row the csv module cannot parse raise ValueError naming
+    the path and line."""
     lineno = 1  # of the row being read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            # skipped by hand: the "utf-8-sig" codec would cost every run its
+            # import, about as much as reading a 300-line file
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -328,12 +333,12 @@ def _csv_rows(
 
 
 def _read_json(path: str) -> object:
-    """The JSON document in a UTF-8 file; ValueError naming the path when the
-    file is not UTF-8 or not JSON."""
+    """The JSON document in a UTF-8 file, a byte-order mark skipped;
+    ValueError naming the path when the file is not UTF-8 or not JSON."""
     import json
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None

@@ -226,11 +226,10 @@ def simple_paths(
     out: list[RhoPath] = []
     path = [si]
     on_path = {si}
-
-    def dfs(u: int) -> None:
-        if len(path) - 1 >= limit:
-            return
-        for v in succ.get(u, []):
+    # a depth-first search with one iterator of successors per node of `path`
+    stack = [iter(succ.get(si, []))]
+    while stack:
+        for v in stack[-1]:
             if v in on_path:
                 continue
             path.append(v)
@@ -245,10 +244,12 @@ def simple_paths(
                 )
             elif len(path) - 1 < limit:
                 on_path.add(v)
-                dfs(v)
-                on_path.remove(v)
+                stack.append(iter(succ.get(v, [])))
+                break
             path.pop()
-    dfs(si)
+        else:
+            stack.pop()
+            on_path.remove(path.pop())
     return out
 
 
@@ -367,7 +368,7 @@ def _fold_chains(
     s_eff = n - 1 if s is None else s
     m = schema.positive_grades
     # succ[u] = (v, c_vu, grade cost of the step u -> v as in path_score_v)
-    succ: dict[int, list[tuple[int, float, int]]] = {}
+    succ: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
     for u, targets in _successors(nodes, c).items():
         succ[u] = [
             (v, c[v][u], (s_eff + 1) ** (m - schema.grade(c[v][u]))) for v in targets
@@ -383,10 +384,15 @@ def _fold_chains(
         graded_weakest = [0.0] * n
         on_path = [False] * n
         on_path[j] = True
-
-        def walk(u: int, product: float, weakest: float, cost: int, depth: int) -> None:
-            depth += 1
-            for v, c_vu, step_cost in succ.get(u, ()):
+        # depth-first over the chains from j, without recursion: the open
+        # chain ends at `end`, with its product, weakest step and grade cost;
+        # `steps` yields the steps out of it not yet taken, each the depth-th
+        # step of a chain; `parent` keeps the same for the chain one shorter,
+        # as a linked list of tuples, which pushes and pops without a call
+        steps = iter(succ[j] if s_eff >= 1 else ())
+        product, weakest, cost, end, depth, parent = 1.0, math.inf, 0, j, 1, None
+        while True:
+            for v, c_vu, step_cost in steps:
                 if on_path[v]:
                     continue
                 p = product * c_vu
@@ -405,13 +411,18 @@ def _fold_chains(
                     best_score[v] = score
                     graded_product[v] = p
                     graded_weakest[v] = w
-                if depth < s_eff:
+                if depth < s_eff and (nexts := succ[v]):
                     on_path[v] = True
-                    walk(v, p, w, k, depth)
-                    on_path[v] = False
-
-        if s_eff >= 1:
-            walk(j, 1.0, math.inf, 0, 0)
+                    parent = (steps, product, weakest, cost, end, parent)
+                    steps, product, weakest, cost, end = iter(nexts), p, w, k, v
+                    depth += 1
+                    break
+            else:
+                on_path[end] = False
+                if parent is None:
+                    break
+                steps, product, weakest, cost, end, parent = parent
+                depth -= 1
         for i in range(n):
             if best_score[i] < math.inf:
                 sums[i][j] = min(1.0, math.fsum(products[i]))

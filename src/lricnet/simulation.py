@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from itertools import combinations
 from typing import NamedTuple
 
-from .groups import DEFAULT_ENUMERATION_CAP, _band, _debug, _floor, _non_dummies, _reaches
+from .groups import DEFAULT_ENUMERATION_CAP, _debug, _exact, _floor, _need, _non_dummies
 from .network import ExposureNetwork, ThresholdPolicy, _Record, _tuple_eq, _tuple_ne, threshold
 from .paths import InfluenceMatrix, _as_matrix, _weighted_scores
 
@@ -120,8 +120,9 @@ class _CascadeEngine:
     All sets are frozensets of node indices.  A cascade stage looks only at
     the surviving lenders of the nodes that defaulted in the stage before
     (the frontier); no other lender's loss can have grown.  Whether a loss
-    reaches 1 is decided exactly, by a float sum outside the lender's
-    :func:`lricnet.groups._band` (computed once) and an exact one inside.
+    reaches 1 is decided exactly: each lender's shares are exact ints over
+    one denominator (:func:`lricnet.groups._exact`, computed once), and a
+    loss reaches 1 when their int sum reaches the lender's `need`.
 
     When no share is negative the cascade is monotone in its seed set (and
     so is that exact test), which gives two exact shortcuts.  Without a
@@ -142,20 +143,21 @@ class _CascadeEngine:
     """
 
     def __init__(self, rows: list[list[float]], stage_limit: int | None = None) -> None:
-        self.rows = rows
         self.stage_limit = stage_limit
-        # per lender, its (borrower, share) pairs in index order; per
-        # borrower, its lenders
-        self._shares: list[list[tuple[int, float]]] = []
+        # per lender, its (borrower, exact share) pairs in index order and
+        # the least int loss that reaches 1; per borrower, its lenders
+        self._shares: list[list[tuple[int, int]]] = []
+        self._needs: list[int] = []
         self._borrowers: list[frozenset[int]] = []
         self._lenders: list[list[int]] = [[] for _ in rows]
         for i, row in enumerate(rows):
-            pairs = [(k, share) for k, share in enumerate(row) if share]
-            self._shares.append(pairs)
-            self._borrowers.append(frozenset(k for k, share in pairs if share > 0))
-            for k, _ in pairs:
+            borrowers = [k for k, share in enumerate(row) if share]
+            denominator, shares = _exact([row[k] for k in borrowers])
+            self._shares.append([*zip(borrowers, shares)])
+            self._needs.append(_need(_floor(1.0), denominator))
+            self._borrowers.append(frozenset(k for k in borrowers if row[k] > 0))
+            for k in borrowers:
                 self._lenders[k].append(i)
-        self._bands = [_band([share for _, share in pairs], _floor(1.0)) for pairs in self._shares]
         # a negative share breaks monotonicity, and with it both shortcuts;
         # a stage cap breaks the first, as the union may be stages ahead
         self._monotone = not any(share < 0 for pairs in self._shares for _, share in pairs)
@@ -171,9 +173,7 @@ class _CascadeEngine:
         """The surviving lenders of `frontier` whose defaulted shares reach 1."""
         fresh = set()
         for i in {i for k in frontier for i in self._lenders[k]} - d:
-            losses = [share for k, share in self._shares[i] if k in d]
-            loss, (low, high) = sum(losses), self._bands[i]
-            if loss >= high or (loss >= low and _reaches(losses, _floor(1.0))):
+            if sum([share for k, share in self._shares[i] if k in d]) >= self._needs[i]:
                 fresh.add(i)
         return fresh
 
@@ -226,14 +226,14 @@ class _CascadeEngine:
         if cached is not None:
             self.support_hits += 1
             return cached
-        row = self.rows[lender]
-        members = sorted(k for k in present if row[k] > 0)
+        shares = dict(self._shares[lender])
+        members = sorted(k for k in present if shares.get(k, 0) > 0)
         if len(members) > DEFAULT_ENUMERATION_CAP:
             raise ValueError(
                 f"attribution for a lender with {len(members)} defaulted "
                 f"borrowers exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
             )
-        found = _non_dummies([row[k] for k in members], _floor(1.0))
+        found = _non_dummies([shares[k] for k in members], self._needs[lender])
         cached = self._support[key] = frozenset(members[k] for k in found)
         return cached
 
@@ -284,6 +284,19 @@ def _node_indices(nodes: tuple[str, ...], names: Iterable[str]) -> list[int]:
         raise ValueError(f"unknown node {exc.args[0]!r}") from None
 
 
+def _engine(c: InfluenceMatrix, s: int | None) -> _CascadeEngine:
+    """A cascade engine over the share matrix `c`; ValueError naming the
+    first entry that is NaN or infinite, as no exact sum can hold it."""
+    rows = c.values.tolist()
+    for i, row in enumerate(rows):
+        for k, share in enumerate(row):
+            if not math.isfinite(share):
+                raise ValueError(
+                    f"share of {c.nodes[k]!r} in {c.nodes[i]!r} is not finite: {share}"
+                )
+    return _CascadeEngine(rows, stage_limit=s)
+
+
 def cascade(
     c: InfluenceMatrix, initial: frozenset[str] | set[str], s: int | None = None
 ) -> CascadeTrace:
@@ -291,12 +304,12 @@ def cascade(
 
     At each stage every surviving lender defaults iff the shares of its
     already-defaulted borrowers sum to at least 1.  `s` caps the number of
-    stages; None runs to the fixpoint.
+    stages; None runs to the fixpoint.  A NaN or infinite share in `c`
+    raises ValueError, here and in :func:`pivotal_initiators`.
     """
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    engine = _CascadeEngine(c.values.tolist(), stage_limit=s)
-    stages = engine.stages(frozenset(_node_indices(c.nodes, initial)))
+    stages = _engine(c, s).stages(frozenset(_node_indices(c.nodes, initial)))
     return CascadeTrace(
         initial=frozenset(initial),
         stages=tuple(frozenset(c.nodes[k] for k in stage) for stage in stages),
@@ -316,10 +329,11 @@ def pivotal_initiators(
     node) and the seeds the node reaches over support edges.  The node
     must actually default under `initial`.
     """
+    engine = _engine(c, s)
     target, *seeds = _node_indices(c.nodes, [defaulted_node, *initial])
     if target in seeds:
         return frozenset({defaulted_node})
-    credits = _credits(_CascadeEngine(c.values.tolist(), stage_limit=s), frozenset(seeds))
+    credits = _credits(engine, frozenset(seeds))
     if target not in credits:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour (argument parsing through report bytes)."""
 
+import csv
 import json
 import logging
 import os
@@ -21,11 +22,14 @@ from lricnet import (
     gk_gamma,
     ingest_edges,
     kbi,
+    influence_matrix,
     kendall_tau,
+    lric_paths_matrices,
     net_mutual_exposures,
     out_strength,
     pivotal_groups,
     rank,
+    simple_paths,
 )
 from lricnet import groups as groups_module
 from lricnet.cli import _DEFAULTS, METHOD_ORDER, POLICY_METHODS, emit_report, parse_policy, run
@@ -782,6 +786,119 @@ def test_compute_compare_round_trip_keeps_exact_ranks(capsys, tmp_path):
             for a in methods
         ]
         assert code == 0 and out.splitlines() == ["ranking," + ",".join(methods), *rows]
+
+
+def _csv_cells(text):
+    return list(csv.reader(text.splitlines(keepends=True)))
+
+
+def test_ids_that_need_quotes_round_trip_through_every_csv_output(capsys, tmp_path):
+    # a comma, a double quote and a line break must be quoted; "DE" need not be
+    edges = [
+        ("DE", "Korea, Rep.", 3), ("DE", 'the "UK"', 2), ("DE", "line\nbreak", 1),
+        ("Korea, Rep.", "DE", 1), ('the "UK"', "Korea, Rep.", 4), ("line\nbreak", "DE", 2),
+    ]
+    path = tmp_path / "edges.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("from", "to", "weight"), *edges])
+    net = net_mutual_exposures(ingest_edges(edges))
+    # net writes the csv module's quoting, and --edges reads it back
+    code, out, err = _run(capsys, "net", "--edges", str(path))
+    assert code == 0, err
+    assert out.splitlines()[1] == 'DE,"Korea, Rep.",2.000000'
+    assert {tuple(row) for row in _csv_cells(out)[1:]} == {
+        (a, b, f"{w:.6f}") for (a, b), w in net.edges.items()
+    }
+    netted = tmp_path / "netted.csv"
+    netted.write_text(out, encoding="utf-8")
+    code, again, err = _run(capsys, "net", "--edges", str(netted))
+    assert code == 0 and again == out, err
+    # compute's reports and matrices parse as CSV, and compare reads the reports
+    outdir = tmp_path / "reports"
+    methods = ("closeness-in", "betweenness")
+    code, _, err = _run(
+        capsys, "compute", "--edges", str(path), "--q", "out-share:0.25",
+        "--method", ",".join(["kbi", *methods]), "--emit-matrices", "--output-dir", str(outdir),
+    )
+    assert code == 0, err
+    matrix = _csv_cells((outdir / "kbi.matrix.csv").read_text(encoding="utf-8"))
+    assert matrix[0] == ["node", *net.nodes]
+    assert [row[0] for row in matrix[1:]] == list(net.nodes)
+    scores = {"closeness-in": closeness(net, "in"), "betweenness": betweenness(net)}
+    for name in methods:
+        rows = _csv_cells((outdir / f"{name}.csv").read_text(encoding="utf-8"))
+        assert {row[0]: row[1] for row in rows[1:]} == {
+            v: f"{x:.6f}" for v, x in scores[name].items()
+        }
+    files = [str(outdir / f"{name}.csv") for name in methods]
+    code, out, err = _run(capsys, "compare", "--rankings", *files)
+    value = kendall_tau(rank(scores["closeness-in"]), rank(scores["betweenness"]))
+    assert code == 0 and out == f"tau: {value:.6f}\n", err
+
+
+def test_emit_report_quotes_ids_as_the_csv_module_does():
+    scores = {"Korea, Rep.": 2.0, 'the "UK"': 1.0, "DE": 0.5}
+    assert emit_report(scores) == (
+        b'node,score,rank\n"Korea, Rep.",2.000000,1\n"the ""UK""",1.000000,2\n'
+        b"DE,0.500000,3\n"
+    )
+
+
+def test_csv_and_json_inputs_may_start_with_a_byte_order_mark(capsys, ex1_csv, tmp_path):
+    def both(name, text):
+        """`text` in two files, the second with a UTF-8 byte-order mark."""
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        return str(plain), str(marked)
+
+    edges = Path(ex1_csv).read_text(encoding="utf-8")
+    attributes = "node,gdp\n" + "".join(f"{v},{10 * int(v)}\n" for v in range(1, 11))
+    quotas = "node,q\n" + "".join(f"{v},{100 * int(v)}\n" for v in range(1, 9))
+    reports = {}
+    for path in both("edges.csv", edges):
+        reports[path] = _run(capsys, "compute", "--edges", path, "--method", "in-degree")
+    for path in both("attributes.csv", attributes):
+        reports[path] = _run(
+            capsys, "compute", "--edges", ex1_csv, "--attributes", path,
+            "--q", "attr-share:gdp:0.25", "--method", "kbi",
+        )
+    for path in both("quotas.csv", quotas):
+        reports[path] = _run(capsys, "compute", "--edges", ex1_csv, "--q", f"abs:{path}",
+                             "--method", "kbi")
+    first = _score_file(tmp_path / "first.csv", {"x": 3.0, "y": 2.0, "z": 1.0})
+    for path in both("second.csv", "node,score\nx,1\ny,3\nz,2\n"):
+        reports[path] = _run(capsys, "compare", "--rankings", first, path)
+    config = json.dumps({"edges": ex1_csv, "q": "out-share:0.25", "method": "kbi"})
+    for path in both("config.json", config):
+        reports[path] = _run(capsys, "compute", "--config", path)
+    outcomes = list(reports.values())
+    for plain, marked in zip(outcomes[::2], outcomes[1::2]):
+        assert plain[0] == 0 and plain[1], plain
+        assert marked == plain
+
+
+def test_long_influence_chains_need_no_recursion(capsys, tmp_path):
+    # every lender lends only to the next node, so each step has c = 1 and
+    # the chain from the last node to the first has n - 1 steps
+    n = 1100
+    edges = [(str(i), str(i + 1), 5) for i in range(n - 1)]
+    path = str(write_edges_csv(tmp_path / "chain.csv", edges))
+    code, out, err = _run(
+        capsys, "compute", "--edges", path, "--q", "out-share:0.25",
+        "--method", "sumpaths,maxpath",
+    )
+    assert code == 0, err
+    net = ingest_edges(edges)
+    policy = OutShareQuota(0.25)
+    for matrix in lric_paths_matrices(net, policy).values():
+        rows = matrix.values.tolist()
+        at = [matrix.nodes.index(str(i)) for i in range(n)]
+        assert all(rows[at[i]][at[j]] == 1.0 for i in range(n) for j in range(i + 1, n))
+    (chain,) = simple_paths(influence_matrix(net, policy), str(n - 1), "0")
+    assert chain.nodes == tuple(str(i) for i in range(n - 1, -1, -1))
+    assert chain.influences == (1.0,) * (n - 1)
 
 
 def _oversized_field(tmp_path, name, header, row):

@@ -9,6 +9,8 @@ the production code is the point, so resist deduplicating them.
 import logging
 import math
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -595,6 +597,34 @@ def test_supports_match_power_set_near_the_floor(count, sizes):
 def test_support_resums_each_member(row, expected):
     assert _row_oracle(row) == expected
     assert _row_support(row) == expected
+
+
+@pytest.mark.parametrize("count, sizes", [(10_000, range(2, 8)), (30, range(13, 15))])
+def test_cascade_stages_match_exact_sums_near_the_floor(count, sizes):
+    # lender 0 holds the share row; its borrowers 1..m are seeded all
+    # together, then all but one
+    floor = Fraction(1 - TOL)
+    for row in _near_floor_rows(count, sizes):
+        m = len(row)
+        rows = [[0.0] * (m + 1) for _ in range(m + 1)]
+        rows[0][1:] = row
+        engine = _CascadeEngine(rows)
+        everyone = frozenset(range(1, m + 1))
+        for seeds in (everyone, *(everyone - {k} for k in everyone)):
+            defaults = sum(Fraction(row[k - 1]) for k in seeds) >= floor
+            stages = engine.stages(seeds)
+            assert stages == ([frozenset({0})] if defaults else []), (row, sorted(seeds))
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_cascade_rejects_non_finite_shares(entry):
+    values = np.array([[0.0, entry, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    c = InfluenceMatrix(nodes=("a", "b", "c"), values=values, variant="shares")
+    message = f"share of 'b' in 'a' is not finite: {entry}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cascade(c, {"c"})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pivotal_initiators(c, "b", {"c"})
 
 
 def test_support_of_many_equal_shares():
