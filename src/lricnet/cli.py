@@ -63,6 +63,8 @@ from .simulation import (
     SimulationPlan,
     _CascadeEngine,
     _credits,
+    _mask,
+    _members,
     _node_indices,
     _share_rows,
     _sim_scores,
@@ -426,17 +428,21 @@ def _cmd_cascade(args: argparse.Namespace) -> int:
         raise ValueError("--q is required")
     net = _build_network(settings)
     policy = parse_policy(settings["q"])
-    engine = _CascadeEngine(_share_rows(net, policy), stage_limit=settings["s"])
+    engine = _CascadeEngine(
+        _share_rows(net, policy), stage_limit=settings["s"], nodes=net.nodes
+    )
     initial = frozenset(x.strip() for x in settings["initial"].split(",") if x.strip())
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    seeds = frozenset(_node_indices(net.nodes, initial))
+    seeds = _mask(_node_indices(net.nodes, initial))
     stages = engine.stages(seeds)
+    # credited before anything is printed, so a failure leaves stdout empty
+    credits = _credits(engine, seeds)
     print(f"initial: {_format_nodes(initial)}")
     for stage_no, stage in enumerate(stages, start=1):
-        print(f"stage {stage_no}: {_format_nodes(net.nodes[k] for k in stage)}")
-    print(f"defaulted: {_format_nodes(net.nodes[k] for k in seeds.union(*stages))}")
-    credits = _credits(engine, seeds)
+        print(f"stage {stage_no}: {_format_nodes(net.nodes[k] for k in _members(stage))}")
+    defaulted = seeds | sum(stages)  # the stages are disjoint
+    print(f"defaulted: {_format_nodes(net.nodes[k] for k in _members(defaulted))}")
     for i in sorted(credits, key=lambda i: node_sort_key(net.nodes[i])):
         print(f"pivotal for {net.nodes[i]}: {_format_nodes(net.nodes[j] for j in credits[i])}")
     return 0
@@ -487,10 +493,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"{args.coefficient}: {shown}")
         return 0
     names, rows = _comparison_rows(rankings, args.coefficient)
-    print("ranking," + ",".join(names))
+    print("ranking," + ",".join(map(_cell, names)))
     for name, row in zip(names, rows):
         cells = ",".join(f"{value:.6f}" for value in row)
-        print(f"{name},{cells}")
+        print(f"{_cell(name)},{cells}")
     return 0
 
 
@@ -614,3 +620,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     return run(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

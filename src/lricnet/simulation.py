@@ -17,7 +17,7 @@ casualty, not a cause, and passes no credit on.  Initiators whose solo
 default suffices to sink the target are always credited.  Each node's solo
 cascade is run once and kept: it settles most redundancy checks, and
 without a stage cap a cascade of several seeds starts from the union of
-their solo closures.
+their solo closures, its fixpoint kept per union.
 
 The share and simulated matrices are lists of rows inside this module; only
 the public :func:`share_matrix` and :func:`simulate` turn them into numpy
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 from typing import NamedTuple
 
@@ -117,21 +117,22 @@ class _CascadeEngine:
     """Cascades and attribution over the rows of a share matrix, with
     memoization.
 
-    All sets are frozensets of node indices.  A cascade stage looks only at
-    the surviving lenders of the nodes that defaulted in the stage before
-    (the frontier); no other lender's loss can have grown.  Whether a loss
-    reaches 1 is decided exactly: each lender's shares are exact ints over
-    one denominator (:func:`lricnet.groups._exact`, computed once), and a
-    loss reaches 1 when their int sum reaches the lender's `need`.
+    Every node set is an int bitmask: bit k stands for node k.  A cascade
+    stage looks only at the surviving lenders of the nodes that defaulted
+    in the stage before (the frontier); no other lender's loss can have
+    grown.  Whether a loss reaches 1 is decided exactly: each lender's
+    shares are exact ints over one denominator
+    (:func:`lricnet.groups._exact`, computed once), and a loss reaches 1
+    when their int sum reaches the lender's `need`.
 
     When no share is negative the cascade is monotone in its seed set (and
-    so is that exact test), which gives two exact shortcuts.  Without a
-    stage cap, a multi-seed cascade starts from the union of its seeds'
-    cached solo closures, all of it the first frontier: the least fixpoint
-    containing that union is the one containing the seeds.  And a seed is
-    redundant if another seed's solo cascade already sinks it; only when no
-    seed does is the seed set re-cascaded without it.  Only solo cascades
-    are kept.
+    so is that exact test), which gives exact shortcuts.  Without a stage
+    cap, the cascade of several seeds is the least fixpoint containing the
+    union of their cached solo closures: it starts from that union, all of
+    it the first frontier, and is kept per union, since many seed sets
+    share one.  And a seed is redundant if another seed's solo cascade
+    already sinks it; only when no seed does is the seed set re-cascaded
+    without it.
 
     The credit a cascaded lender passes on is reachability: each lender's
     *support* is the union of its inclusion-minimal groups among its
@@ -139,80 +140,140 @@ class _CascadeEngine:
     a lender is credited to the non-redundant seeds it reaches over support
     edges, seeds being sinks.  Supports come from the depth-first
     pivotal-group enumerator that serves KBI, under its 25-member cap.  The
-    counters feed the debug line of `simulate`.
+    support edges are kept reversed per defaulted set, as each node's mask
+    of the cascaded lenders it supports, and grown by the lenders a run
+    cascades that no earlier run on that set did.  The fixpoints and the
+    support graphs are each cleared when they reach one entry per node.
+    The counters feed the debug line of `simulate`.
     """
 
-    def __init__(self, rows: list[list[float]], stage_limit: int | None = None) -> None:
+    def __init__(
+        self,
+        rows: list[list[float]],
+        stage_limit: int | None = None,
+        nodes: Sequence[str] | None = None,
+    ) -> None:
         self.stage_limit = stage_limit
-        # per lender, its (borrower, exact share) pairs in index order and
-        # the least int loss that reaches 1; per borrower, its lenders
+        self._n = n = len(rows)
+        self._nodes = [str(k) for k in range(n)] if nodes is None else nodes
+        # per lender, its (borrower bit, exact share) pairs in index order,
+        # the least int loss that reaches 1 and the mask of its borrowers
+        # with a positive share; per borrower, the mask of its lenders
         self._shares: list[list[tuple[int, int]]] = []
         self._needs: list[int] = []
-        self._borrowers: list[frozenset[int]] = []
-        self._lenders: list[list[int]] = [[] for _ in rows]
+        self._borrowers: list[int] = []
+        self._lenders = [0] * n
         for i, row in enumerate(rows):
             borrowers = [k for k, share in enumerate(row) if share]
             denominator, shares = _exact([row[k] for k in borrowers])
-            self._shares.append([*zip(borrowers, shares)])
+            self._shares.append([(1 << k, share) for k, share in zip(borrowers, shares)])
             self._needs.append(_need(_floor(1.0), denominator))
-            self._borrowers.append(frozenset(k for k in borrowers if row[k] > 0))
+            self._borrowers.append(sum(1 << k for k in borrowers if row[k] > 0))
             for k in borrowers:
-                self._lenders[k].append(i)
-        # a negative share breaks monotonicity, and with it both shortcuts;
-        # a stage cap breaks the first, as the union may be stages ahead
+                self._lenders[k] |= 1 << i
+        # a negative share breaks monotonicity, and with it every shortcut;
+        # a stage cap breaks the fixpoint one, as the union may be stages ahead
         self._monotone = not any(share < 0 for pairs in self._shares for _, share in pairs)
         self._from_solo = self._monotone and stage_limit is None
-        self._solo: dict[int, frozenset[int]] = {}
-        self._support: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
+        self._solo: dict[int, int] = {}
+        self._witness: list[int] | None = None
+        self._fixpoint: dict[int, int] = {}  # by union of solo closures
+        self._support: dict[tuple[int, int], int] = {}
+        # by defaulted set: [mask of the lenders folded in, backers per node]
+        self._graphs: dict[int, list] = {}
         self.cascades = 0
         self.cache_hits = 0
+        self.fixpoints = 0
+        self.fixpoint_hits = 0
         self.solo_witnesses = 0
         self.support_hits = 0
+        self.graphs_built = 0
+        self.graphs_reused = 0
 
-    def _fresh(self, d: set[int], frontier: Iterable[int]) -> set[int]:
+    def _fresh(self, d: int, frontier: int) -> int:
         """The surviving lenders of `frontier` whose defaulted shares reach 1."""
-        fresh = set()
-        for i in {i for k in frontier for i in self._lenders[k]} - d:
-            if sum([share for k, share in self._shares[i] if k in d]) >= self._needs[i]:
-                fresh.add(i)
+        lenders = self._lenders
+        candidates = 0
+        while frontier:
+            low = frontier & -frontier
+            candidates |= lenders[low.bit_length() - 1]
+            frontier ^= low
+        candidates &= ~d
+        fresh = 0
+        while candidates:
+            low = candidates & -candidates
+            i = low.bit_length() - 1
+            if sum([share for bit, share in self._shares[i] if d & bit]) >= self._needs[i]:
+                fresh |= low
+            candidates ^= low
         return fresh
 
-    def stages(self, initial: frozenset[int]) -> list[frozenset[int]]:
-        d = set(initial)
-        frontier: Iterable[int] = initial
-        stages: list[frozenset[int]] = []
+    def stages(self, initial: int) -> list[int]:
+        d = frontier = initial
+        stages: list[int] = []
         while self.stage_limit is None or len(stages) < self.stage_limit:
             fresh = self._fresh(d, frontier)
             if not fresh:
                 break
-            stages.append(frozenset(fresh))
+            stages.append(fresh)
             d |= fresh
             frontier = fresh
         return stages
 
-    def _cascade(self, initial: frozenset[int]) -> frozenset[int]:
-        self.cascades += 1
-        if self._from_solo and len(initial) > 1:
-            initial = frozenset().union(*map(self.solo, initial))
-        stages = self.stages(initial)
-        return initial.union(*stages) if stages else initial
+    def _closure(self, initial: int) -> int:
+        for stage in self.stages(initial):
+            initial |= stage
+        return initial
 
-    def defaulted(self, initial: frozenset[int]) -> frozenset[int]:
-        if len(initial) == 1:
-            (j,) = initial
+    def _cascade(self, initial: int) -> int:
+        self.cascades += 1
+        if not (self._from_solo and initial & (initial - 1)):
+            return self._closure(initial)
+        union, rest, solo = 0, initial, self._solo
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            union |= solo.get(j) or self.solo(j)  # a solo closure holds j
+            rest ^= low
+        d = self._fixpoint.get(union)
+        if d is not None:
+            self.fixpoint_hits += 1
+            return d
+        self.fixpoints += 1
+        if len(self._fixpoint) >= self._n:
+            self._fixpoint.clear()
+        d = self._fixpoint[union] = self._closure(union)
+        return d
+
+    def defaulted(self, initial: int) -> int:
+        if initial and not initial & (initial - 1):
+            j = initial.bit_length() - 1
             if j in self._solo:
                 self.cache_hits += 1
             return self.solo(j)
         return self._cascade(initial)
 
-    def solo(self, j: int) -> frozenset[int]:
+    def solo(self, j: int) -> int:
         """The nodes defaulted when `j` alone is seeded."""
         cached = self._solo.get(j)
         if cached is None:
-            cached = self._solo[j] = self._cascade(frozenset({j}))
+            cached = self._solo[j] = self._cascade(1 << j)
         return cached
 
-    def support(self, lender: int, present: frozenset[int]) -> frozenset[int]:
+    def solos(self) -> list[int]:
+        """Every node's solo cascade, in index order.  Also keeps, per node
+        x, the mask of the other nodes whose solo cascade sinks x, which
+        settles the solo-witness checks of every later :meth:`reach`."""
+        solos = [self.solo(j) for j in range(self._n)]
+        witness = [0] * self._n
+        for y, sunk in enumerate(solos):
+            bit = 1 << y
+            for x in _members(sunk & ~bit):
+                witness[x] |= bit
+        self._witness = witness
+        return solos
+
+    def support(self, lender: int, present: int) -> int:
         """The union of the inclusion-minimal subsets of `present` whose
         shares reach 1.
 
@@ -226,53 +287,105 @@ class _CascadeEngine:
         if cached is not None:
             self.support_hits += 1
             return cached
-        shares = dict(self._shares[lender])
-        members = sorted(k for k in present if shares.get(k, 0) > 0)
+        members = [
+            (bit, share) for bit, share in self._shares[lender] if present & bit and share > 0
+        ]
         if len(members) > DEFAULT_ENUMERATION_CAP:
             raise ValueError(
-                f"attribution for a lender with {len(members)} defaulted "
-                f"borrowers exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+                f"attribution for a lender with {len(members)} defaulted borrowers "
+                f"exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP} "
+                f"(lender {self._nodes[lender]!r})"
             )
-        found = _non_dummies([shares[k] for k in members], self._needs[lender])
-        cached = self._support[key] = frozenset(members[k] for k in found)
+        found = _non_dummies([share for _, share in members], self._needs[lender])
+        cached = self._support[key] = sum(members[k][0] for k in found)
         return cached
 
-    def _redundant(self, x: int, initial: frozenset[int]) -> bool:
-        """Whether the seeds of `initial` other than `x` default `x` anyway."""
-        if self._monotone:
-            for y in initial:
-                if y != x and x in self.solo(y):
-                    self.solo_witnesses += 1
-                    return True
-        return x in self.defaulted(initial - {x})
+    def _causes(self, initial: int) -> list[int]:
+        """The seeds of `initial` that are not redundant: those that the
+        other seeds would not default anyway."""
+        seeds = _members(initial)
+        witness = self._witness if self._monotone else None
+        causes = []
+        for x in seeds:
+            bit = 1 << x
+            if witness is not None:
+                witnessed = initial & witness[x]
+            else:
+                witnessed = self._monotone and any(y != x and self.solo(y) & bit for y in seeds)
+            if witnessed:
+                self.solo_witnesses += 1
+                continue
+            rest = initial & ~bit
+            if not (rest and self.defaulted(rest) & bit):
+                causes.append(x)
+        return causes
 
-    def reach(
-        self, initial: frozenset[int]
-    ) -> tuple[frozenset[int], dict[int, set[int]]]:
+    def _backers(self, d: int, cascaded: int) -> list[int]:
+        """The support edges among the defaulted set `d`, reversed: per
+        node, the mask of the lenders of `cascaded` (and of those folded in
+        before) whose support holds it."""
+        graph = self._graphs.get(d)
+        if graph is None:
+            self.graphs_built += 1
+            if len(self._graphs) >= self._n:
+                self._graphs.clear()
+            graph = self._graphs[d] = [0, [0] * self._n]
+        else:
+            self.graphs_reused += 1
+        folded, backers = graph
+        todo = cascaded & ~folded
+        if todo:
+            for i in _members(todo):
+                bit = 1 << i
+                for x in _members(self.support(i, self._borrowers[i] & d)):
+                    backers[x] |= bit
+            graph[0] = folded | todo
+        return backers
+
+    def reach(self, initial: int) -> tuple[int, dict[int, int]]:
         """The cascaded defaults of `initial`, and per non-redundant seed
         the cascaded lenders that reach it over support edges."""
         d = self.defaulted(initial)
-        cascaded = d - initial
+        cascaded = d & ~initial
         if not cascaded:
             return cascaded, {}
-        causes = [x for x in initial if not self._redundant(x, initial)]
+        causes = self._causes(initial)
         if not causes:
             return cascaded, {}
-        # support edges reversed: the cascaded lenders each node supports
-        backers: dict[int, list[int]] = {}
-        for i in cascaded:
-            for x in self.support(i, self._borrowers[i] & d):
-                backers.setdefault(x, []).append(i)
-        reached: dict[int, set[int]] = {}
+        backers = self._backers(d, cascaded)
+        reached: dict[int, int] = {}
         for x in causes:
-            seen = reached[x] = set()
-            todo = [x]
+            # a breadth-first walk within `cascaded`, so seeds never relay
+            seen = 0
+            todo = backers[x] & cascaded
             while todo:
-                for i in backers.get(todo.pop(), ()):
-                    if i not in seen:
-                        seen.add(i)
-                        todo.append(i)
+                seen |= todo
+                grown = 0
+                while todo:
+                    low = todo & -todo
+                    grown |= backers[low.bit_length() - 1]
+                    todo ^= low
+                todo = grown & cascaded & ~seen
+            reached[x] = seen
         return cascaded, reached
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The node set of `indices` as a bitmask."""
+    mask = 0
+    for k in indices:
+        mask |= 1 << k
+    return mask
 
 
 def _node_indices(nodes: tuple[str, ...], names: Iterable[str]) -> list[int]:
@@ -294,7 +407,7 @@ def _engine(c: InfluenceMatrix, s: int | None) -> _CascadeEngine:
                 raise ValueError(
                     f"share of {c.nodes[k]!r} in {c.nodes[i]!r} is not finite: {share}"
                 )
-    return _CascadeEngine(rows, stage_limit=s)
+    return _CascadeEngine(rows, stage_limit=s, nodes=c.nodes)
 
 
 def cascade(
@@ -309,10 +422,10 @@ def cascade(
     """
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    stages = _engine(c, s).stages(frozenset(_node_indices(c.nodes, initial)))
+    stages = _engine(c, s).stages(_mask(_node_indices(c.nodes, initial)))
     return CascadeTrace(
         initial=frozenset(initial),
-        stages=tuple(frozenset(c.nodes[k] for k in stage) for stage in stages),
+        stages=tuple(frozenset(c.nodes[k] for k in _members(stage)) for stage in stages),
         stage_limit=s,
     )
 
@@ -333,7 +446,7 @@ def pivotal_initiators(
     target, *seeds = _node_indices(c.nodes, [defaulted_node, *initial])
     if target in seeds:
         return frozenset({defaulted_node})
-    credits = _credits(engine, frozenset(seeds))
+    credits = _credits(engine, _mask(seeds))
     if target not in credits:
         raise ValueError(
             f"{defaulted_node!r} does not default under initial set {sorted(initial)}"
@@ -341,34 +454,35 @@ def pivotal_initiators(
     return frozenset(c.nodes[j] for j in credits[target])
 
 
-def _credits(engine: _CascadeEngine, initial: frozenset[int]) -> dict[int, frozenset[int]]:
-    """Per cascaded default of `initial`, the seeds credited with it: those
-    whose solo cascade sinks it and those it reaches over support edges."""
+def _credits(engine: _CascadeEngine, initial: int) -> dict[int, list[int]]:
+    """Per cascaded default of `initial`, the seeds credited with it, in
+    index order: those whose solo cascade sinks it and those it reaches
+    over support edges."""
     cascaded, reached = engine.reach(initial)
+    credited = [(j, engine.solo(j) | reached.get(j, 0)) for j in _members(initial)]
     return {
-        i: frozenset(j for j in initial if i in engine.solo(j) or i in reached.get(j, ()))
-        for i in cascaded
+        i: [j for j, sunk in credited if sunk >> i & 1] for i in _members(cascaded)
     }
 
 
 def _uniform_subset(
     rng: random.Random, n: int, counts: list[int], total: int
-) -> frozenset[int]:
+) -> list[int]:
     """A draw from the nonempty subsets of range(n), `counts[k - 1]` of
     them of size k, `total` in all, each equally likely."""
     r = rng.randrange(total)
     for k, count in enumerate(counts, start=1):
         if r < count:
-            return frozenset(rng.sample(range(n), k))
+            return rng.sample(range(n), k)
         r -= count
     raise AssertionError("unreachable")
 
 
 def _bernoulli_subset(
     rng: random.Random, probs: list[float], k_max: int, max_attempts: int = 100_000
-) -> frozenset[int]:
+) -> list[int]:
     for _ in range(max_attempts):
-        drawn = frozenset(i for i, p in enumerate(probs) if rng.random() < p)
+        drawn = [i for i, p in enumerate(probs) if rng.random() < p]
         if 0 < len(drawn) <= k_max:
             return drawn
     raise ValueError(
@@ -376,15 +490,15 @@ def _bernoulli_subset(
     )
 
 
-def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]):
+def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]) -> Iterator[Sequence[int]]:
+    """The initial default sets of `plan`, each as distinct node indices."""
     n = len(nodes)
     if n == 0:
         return
     k_max = min(plan.k0_max, n)
     if plan.mode == "exhaustive":
         for size in range(1, k_max + 1):
-            for combo in combinations(range(n), size):
-                yield frozenset(combo)
+            yield from combinations(range(n), size)
         return
     rng = random.Random(plan.seed)
     if plan.probabilities is not None:
@@ -424,39 +538,47 @@ def _simulate_rows(
 ) -> list[list[float]]:
     """The matrix of :func:`simulate`, as a list of rows."""
     n = len(net.nodes)
-    engine = _CascadeEngine(_share_rows(net, policy), stage_limit=s)
+    engine = _CascadeEngine(_share_rows(net, policy), stage_limit=s, nodes=net.nodes)
     # integer counts, converted once at the end; together[j][j] counts the
     # runs seeding j
     credits = [[0] * n for _ in range(n)]  # by seed, then lender
     together = [[0] * n for _ in range(n)]
-    solo = [engine.solo(j) for j in range(n)]
+    solo = engine.solos()
+    # runs per (seed j, the lenders j reached outside its solo cascade)
+    reaches: dict[tuple[int, int], int] = {}
     runs = 0
     for seed_set in _seed_sets(plan, net.nodes):
         runs += 1
+        mask = 0
         for i in seed_set:
+            mask |= 1 << i
             row = together[i]
             for j in seed_set:
                 row[j] += 1
-        _, reached = engine.reach(seed_set)
-        for j, seen in reached.items():
-            row, alone = credits[j], solo[j]
-            for i in seen:
-                if i not in alone:
-                    row[i] += 1
+        for j, seen in engine.reach(mask)[1].items():
+            seen &= ~solo[j]
+            if seen:
+                key = (j, seen)
+                reaches[key] = reaches.get(key, 0) + 1
+    for (j, seen), count in reaches.items():
+        row = credits[j]
+        for i in _members(seen):
+            row[i] += count
     # Shares are never negative, so a run seeding j defaults all of solo[j]:
     # j's solo channel credits each i of it in every run seeding j but not i.
     for j, alone in enumerate(solo):
         row, seeded = credits[j], together[j]
-        for i in alone:
-            if i != j:
-                row[i] += seeded[j] - seeded[i]
+        for i in _members(alone & ~(1 << j)):
+            row[i] += seeded[j] - seeded[i]
     _debug(
         __name__,
         "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
+        "%d fixpoints run for %d fixpoint-cache hits, "
         "%d redundancy checks settled by a solo cascade, %d supports cached "
-        "for %d support-cache hits",
-        runs, n, engine.cascades, engine.cache_hits, engine.solo_witnesses,
-        len(engine._support), engine.support_hits,
+        "for %d support-cache hits, %d support graphs built and %d reused",
+        runs, n, engine.cascades, engine.cache_hits, engine.fixpoints,
+        engine.fixpoint_hits, engine.solo_witnesses, len(engine._support),
+        engine.support_hits, engine.graphs_built, engine.graphs_reused,
     )
     # frequencies over the runs seeding j without i, NaN where there is none
     values = [[math.nan] * n for _ in range(n)]

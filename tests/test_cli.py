@@ -712,6 +712,26 @@ def test_compare_matrix(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_compare_table_quotes_ranking_names(capsys, tmp_path):
+    # the name of a,b.csv holds a comma: quoted, it stays one cell
+    files = [
+        _score_file(tmp_path / name, scores)
+        for name, scores in (
+            ("a,b.csv", {"x": 3.0, "y": 2.0, "z": 1.0}),
+            ("c.csv", {"x": 1.0, "y": 2.0, "z": 3.0}),
+            ("d.csv", {"x": 3.0, "y": 1.0, "z": 2.0}),
+        )
+    ]
+    code, out, _ = _run(capsys, "compare", "--rankings", *files)
+    assert code == 0
+    table = list(csv.reader(out.splitlines()))
+    assert [len(row) for row in table] == [4] * 4
+    assert table[0] == ["ranking", "a,b", "c", "d"]
+    assert [row[0] for row in table[1:]] == ["a,b", "c", "d"]
+    assert out.splitlines()[0] == 'ranking,"a,b",c,d'
+    assert table[1][1:] == ["1.000000", "-1.000000", "0.333333"]
+
+
 def test_compare_rejects_duplicate_stems(capsys, tmp_path):
     (tmp_path / "one").mkdir()
     (tmp_path / "two").mkdir()
@@ -1054,3 +1074,44 @@ def test_cascade_builds_engines_independent_of_defaults(capsys, tmp_path, monkey
     assert out.count("pivotal for") == length
     # one engine stages the cascade and credits every default
     assert len(built) == 1
+
+
+# L lends to 27 borrowers, each of which lends only to x: seeding x sinks
+# them all, and with them L, whose support would be searched over all 27
+WIDE_ATTRIBUTION = [("L", f"b{k}", 1) for k in range(27)] + [
+    (f"b{k}", "x", 1) for k in range(27)
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--method", "sim", "--sim-mode", "exhaustive", "--k0-max", "1"),
+        ("cascade", "--initial", "x"),
+    ],
+)
+def test_attribution_cap_names_the_lender(capsys, tmp_path, argv):
+    path = str(write_edges_csv(tmp_path / "wide.csv", WIDE_ATTRIBUTION))
+    code, out, err = _run(capsys, *argv, "--edges", path, "--q", "out-share:0.25")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: attribution for a lender with 27 defaulted borrowers exceeds the "
+        "enumeration cap 25 (lender 'L')\n"
+    )
+
+
+@pytest.mark.parametrize("module", ["lricnet", "lricnet.cli"])
+def test_python_dash_m_runs_the_cli(ex1_csv, module):
+    argv = ["compute", "--edges", ex1_csv, "--q", "out-share:0.25", "--method", "degree"]
+    entry = "import sys; from lricnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    console, dash_m = (
+        subprocess.run(
+            [sys.executable, *command, *argv],
+            env=_child_env(), capture_output=True, timeout=60, check=True,
+        )
+        for command in (["-c", entry], ["-m", module])
+    )
+    assert dash_m.stdout == console.stdout
+    assert console.stdout.startswith(b"# degree\nnode,score,rank\n")
+    assert dash_m.stderr == b""

@@ -376,11 +376,13 @@ def test_groups_and_supports_do_not_depend_on_node_labels():
         for i, lender in enumerate(net.nodes):
             borrowers = [net.index[b] for b in net.borrowers_of(lender)]
             for _ in range(4):
-                present = frozenset(k for k in borrowers if rng.random() < 0.7)
-                moved = frozenset(renamed.index[names[net.nodes[k]]] for k in present)
+                # the engine's node sets are int masks, bit k for node k
+                present = [k for k in borrowers if rng.random() < 0.7]
+                moved = sum(1 << renamed.index[names[net.nodes[k]]] for k in present)
                 got = engines[1].support(renamed.index[names[lender]], moved)
-                assert {position[k] for k in got} == {
-                    net.nodes[k] for k in engines[0].support(i, present)
+                want = engines[0].support(i, sum(1 << k for k in present))
+                assert {position[k] for k in range(len(net.nodes)) if got >> k & 1} == {
+                    net.nodes[k] for k in range(len(net.nodes)) if want >> k & 1
                 }, context
     assert changed_order > 300  # relabeling reorders most lenders' borrowers
 

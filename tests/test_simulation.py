@@ -31,11 +31,22 @@ from lricnet import (
     threshold,
     vector_from_simulation,
 )
+from lricnet import simulation as simulation_module
 from lricnet.cli import emit_report
-from lricnet.simulation import _CascadeEngine, _seed_sets
+from lricnet.simulation import _CascadeEngine, _seed_sets, _simulate_rows
 from test_groups import _units
 
 TOL = 1e-9
+
+
+def _mask(indices):
+    """The engine's node set of `indices`: bit k for node k."""
+    return sum(1 << k for k in set(indices))
+
+
+def _set(mask):
+    """The indices of the set bits of the engine's node set `mask`."""
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def test_share_matrix_ex1(ex1, quarter):
@@ -364,9 +375,8 @@ def test_frontier_stages_match_dense_stages_on_random_nets():
         n = len(values)
         for size in range(1, min(3, n) + 1):
             for seed in map(frozenset, combinations(range(n), size)):
-                assert engine.stages(seed) == _dense_stages(values, seed, s), (
-                    net.edges, s, seed,
-                )
+                stages = [*map(_set, engine.stages(_mask(seed)))]
+                assert stages == _dense_stages(values, seed, s), (net.edges, s, seed)
 
 
 def test_redundancy_through_two_seeds_together():
@@ -380,8 +390,8 @@ def test_redundancy_through_two_seeds_together():
     assert pivotal_initiators(c, "L", seeds) == frozenset({"y"})
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    _, reached = engine.reach(frozenset(index[v] for v in seeds))
-    assert {x for x, seen in reached.items() if index["L"] in seen} == {index["y"]}
+    _, reached = engine.reach(_mask(index[v] for v in seeds))
+    assert {x for x, seen in reached.items() if index["L"] in _set(seen)} == {index["y"]}
     assert engine.solo_witnesses == 0
 
 
@@ -404,7 +414,7 @@ def test_solo_witness_settles_redundancy(ex1, quarter):
     # re-cascade of {10}
     engine = _CascadeEngine(share_matrix(ex1, quarter).values.tolist())
     index = {v: k for k, v in enumerate(ex1.nodes)}
-    engine.reach(frozenset({index["7"], index["10"]}))
+    engine.reach(_mask({index["7"], index["10"]}))
     assert engine.solo_witnesses == 1
     # {7, 10} and the two solo cascades; the fallback for 10 re-uses {7}'s
     assert engine.cascades == 3
@@ -420,6 +430,85 @@ def test_simulate_logs_work_counters(ex1, quarter, caplog):
     assert "cascades" in line
     assert "cascade-cache hits" in line
     assert "redundancy checks settled by a solo cascade" in line
+
+
+def _debug_counts(line, pattern):
+    (match,) = re.findall(pattern, line)
+    return tuple(map(int, match))
+
+
+def _simulate_line(caplog, net, policy, plan, s=None):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lricnet.simulation"):
+        simulate(net, policy, plan, s)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "lricnet.simulation"]
+    return line
+
+
+def test_simulate_logs_fixpoint_and_support_graph_counters(ex1, quarter, caplog, monkeypatch):
+    plan = SimulationPlan(mode="exhaustive", k0_max=2)
+    fixpoints = r"(\d+) fixpoints run for (\d+) fixpoint-cache hits"
+    graphs = r"(\d+) support graphs built and (\d+) reused"
+    line = _simulate_line(caplog, ex1, quarter, plan)
+    assert line.startswith("simulated 55 runs on 10 nodes: ")
+    run, hits = _debug_counts(line, fixpoints)
+    assert run > 0 and hits > 0
+    built, reused = _debug_counts(line, graphs)
+    assert built > 0 and reused > 0
+    # a stage cap keeps every cascade apart from the union of solo closures
+    capped = _simulate_line(caplog, ex1, quarter, plan, s=1)
+    assert _debug_counts(capped, fixpoints) == (0, 0)
+    assert _debug_counts(capped, graphs)[0] > 0
+    # and so does a negative share: node 6 lends nothing, and is given a
+    # negative share in node 1
+    share_rows = simulation_module._share_rows
+
+    def negative(net, policy):
+        rows = share_rows(net, policy)
+        rows[net.index["6"]][net.index["1"]] = -0.5
+        return rows
+
+    monkeypatch.setattr(simulation_module, "_share_rows", negative)
+    line = _simulate_line(caplog, ex1, quarter, plan)
+    assert _debug_counts(line, fixpoints) == (0, 0)
+
+
+def test_bounded_caches_clear_and_keep_the_matrix():
+    # random nets on 8-10 nodes with more distinct solo-closure unions and
+    # defaulted sets than nodes: the fixpoint and support-graph caches,
+    # bounded by the node count, are cleared and refilled mid-run
+    built = []
+    init = _CascadeEngine.__init__
+
+    def spying(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    rng = random.Random(20261019)
+    plan = SimulationPlan(mode="exhaustive", k0_max=3)
+    overflowed = {"fixpoints": 0, "graphs": 0, "capped graphs": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_CascadeEngine, "__init__", spying)
+        for _ in range(12):
+            n = rng.randint(8, 10)
+            net = ingest_edges([
+                (str(a), str(b), rng.randint(1, 100))
+                for a in range(n) for b in range(n) if a != b and rng.random() < 0.3
+            ])
+            policy = OutShareQuota(rng.choice([0.25, 0.5]))
+            n = len(net.nodes)
+            for s in (None, 1, 2):
+                built.clear()
+                got = np.array(_simulate_rows(net, policy, plan, s))
+                expected = _brute_matrix(net, policy, k_max=3, s=s)
+                assert np.array_equal(got, expected, equal_nan=True), (net.edges, s)
+                (engine,) = built
+                if s is None:
+                    overflowed["fixpoints"] += engine.fixpoints > n
+                    overflowed["graphs"] += engine.graphs_built > n
+                else:
+                    overflowed["capped graphs"] += engine.graphs_built > n
+    assert min(overflowed.values()) >= 3, overflowed
 
 
 def test_negative_share_keeps_seeds_out_of_the_solo_union():
@@ -447,9 +536,9 @@ def test_redundant_seed_passes_no_credit():
     assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x"})
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    cascaded, reached = engine.reach(frozenset(index[v] for v in ("x", "y", "z")))
-    assert cascaded == {index["L"]}
-    assert not any(index["L"] in seen for seen in reached.values())
+    cascaded, reached = engine.reach(_mask(index[v] for v in ("x", "y", "z")))
+    assert _set(cascaded) == {index["L"]}
+    assert not any(index["L"] in _set(seen) for seen in reached.values())
 
 
 def test_all_redundant_seeds_keep_solo_credit(quarter):
@@ -459,9 +548,9 @@ def test_all_redundant_seeds_keep_solo_credit(quarter):
     c = share_matrix(net, quarter)
     engine = _CascadeEngine(c.values.tolist())
     index = {v: k for k, v in enumerate(c.nodes)}
-    cascaded, reached = engine.reach(frozenset({index["x"], index["y"]}))
-    assert cascaded == {index["L"]}
-    assert not any(index["L"] in seen for seen in reached.values())
+    cascaded, reached = engine.reach(_mask({index["x"], index["y"]}))
+    assert _set(cascaded) == {index["L"]}
+    assert not any(index["L"] in _set(seen) for seen in reached.values())
     assert pivotal_initiators(c, "L", {"x", "y"}) == frozenset({"x", "y"})
     matrix = simulate(net, quarter, SimulationPlan(mode="exhaustive", k0_max=2))
     # {x} and {x, y} both credit x, {y} and {x, y} both credit y
@@ -505,8 +594,8 @@ def _row_support(shares):
     rows = [[0.0] * (len(shares) + 1) for _ in range(len(shares) + 1)]
     rows[0][1:] = shares
     engine = _CascadeEngine(rows)
-    found = engine.support(0, frozenset(range(1, len(shares) + 1)))
-    return sorted(k - 1 for k in found)
+    found = engine.support(0, _mask(range(1, len(shares) + 1)))
+    return sorted(k - 1 for k in _set(found))
 
 
 def _row_oracle(shares):
@@ -521,11 +610,12 @@ def test_supports_match_power_set_on_random_nets():
         n = len(values)
         for size in range(1, min(3, n) + 1):
             for seed in map(frozenset, combinations(range(n), size)):
-                d = engine.defaulted(seed)
+                d = _set(engine.defaulted(_mask(seed)))
                 for i in range(n):
                     present = frozenset(np.flatnonzero(values[i]).tolist()) & d
                     expected = _minimal_union(values[i], present)
-                    assert engine.support(i, present) == expected, (net.edges, i, present)
+                    got = _set(engine.support(i, _mask(present)))
+                    assert got == expected, (net.edges, i, present)
                     checked += 1
     assert checked > 10_000
 
@@ -612,7 +702,7 @@ def test_cascade_stages_match_exact_sums_near_the_floor(count, sizes):
         everyone = frozenset(range(1, m + 1))
         for seeds in (everyone, *(everyone - {k} for k in everyone)):
             defaults = sum(Fraction(row[k - 1]) for k in seeds) >= floor
-            stages = engine.stages(seeds)
+            stages = [*map(_set, engine.stages(_mask(seeds)))]
             assert stages == ([frozenset({0})] if defaults else []), (row, sorted(seeds))
 
 
@@ -656,16 +746,16 @@ def _numpy_simulate(net, policy, plan, s=None):
     engine = _CascadeEngine(shares.values.tolist(), stage_limit=s)
     credits = [[0] * n for _ in range(n)]
     together = [[0] * n for _ in range(n)]
-    solo = [engine.solo(j) for j in range(n)]
+    solo = [_set(engine.solo(j)) for j in range(n)]
     for seed_set in _seed_sets(plan, shares.nodes):
         for i in seed_set:
             row = together[i]
             for j in seed_set:
                 row[j] += 1
-        _, reached = engine.reach(seed_set)
+        _, reached = engine.reach(_mask(seed_set))
         for j, seen in reached.items():
             row, alone = credits[j], solo[j]
-            for i in seen:
+            for i in _set(seen):
                 if i not in alone:
                     row[i] += 1
     for j, alone in enumerate(solo):
