@@ -161,9 +161,10 @@ def eigenvector(
     matches the leading one in magnitude.  Without it, bipartite graphs,
     whose spectrum is symmetric about 0, make the iteration oscillate.
     Each entry of a step is the exact sum of its products, rounded once.
+    A net with no edge scores 0.0 for every node.
     """
     if not net.edges:
-        raise ValueError("eigenvector centrality needs at least one edge")
+        return {v: 0.0 for v in net.nodes}
     nodes, index = net.nodes, net.index
     # the nonzero entries of each row of A + Aᵀ + I
     sym: list[dict[int, float]] = [{i: 1.0} for i in range(len(nodes))]
@@ -176,9 +177,9 @@ def eigenvector(
     residual = math.inf
     for _ in range(max_iter):
         nv = [math.fsum([s * v[j] for j, s in row]) for row in rows]
+        # the shift keeps every step at least as large as the last, so the
+        # max-norm never falls below 1
         norm = max(map(abs, nv))
-        if norm == 0:
-            raise ValueError("eigenvector iteration collapsed to zero")
         nv = [x / norm for x in nv]
         residual = max([abs(x - y) for x, y in zip(nv, v)])
         if residual < tol:
@@ -186,11 +187,6 @@ def eigenvector(
             return {node: x / top for node, x in zip(nodes, nv)}
         v = nv
     raise ValueError(f"eigenvector iteration did not converge (residual {residual:.3e})")
-
-
-def _eigenvector_or_zeros(net: ExposureNetwork) -> dict[str, float]:
-    """:func:`eigenvector`, or 0.0 for every node when the net has no edge."""
-    return eigenvector(net) if net.edges else {v: 0.0 for v in net.nodes}
 
 
 def pagerank(
@@ -239,6 +235,6 @@ def centrality_table(net: ExposureNetwork) -> CentralityTable:
         clos_in=closeness(net, "in"),
         clos_out=closeness(net, "out"),
         betw=betweenness(net),
-        eig=_eigenvector_or_zeros(net),
+        eig=eigenvector(net),
         pagerank=pagerank(net),
     )

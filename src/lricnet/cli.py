@@ -24,13 +24,7 @@ import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
 
-from .centrality import (
-    _eigenvector_or_zeros,
-    betweenness,
-    closeness,
-    degree_measures,
-    pagerank,
-)
+from .centrality import betweenness, closeness, degree_measures, eigenvector, pagerank
 from .groups import _lender_passes, _LenderPass
 from .kbi import _kbi_rows, kbi_from_rows, kbi_matrix
 from .network import (
@@ -117,6 +111,8 @@ _DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
         "initial": ("string", None),
     },
 }
+# the values a setting may take, checked for flags and config alike
+_CHOICES = {"sim_mode": ("exhaustive", "random"), "format": ("csv", "json")}
 # per JSON type, the Python types of its values and how a message names it;
 # bool is an int subclass, but `"k0_max": true` is no count
 _JSON_TYPES = {
@@ -220,6 +216,9 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
         types, name = _JSON_TYPES[kind]
         if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
             raise ValueError(f"{key} must be {name}, got {value!r}")
+        choices = _CHOICES.get(key)
+        if choices and value not in choices:
+            raise ValueError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
     if settings["s"] is not None and settings["s"] < 1:
         raise ValueError(f"s must be at least 1, got {settings['s']}")
     return settings
@@ -302,7 +301,7 @@ def _compute_one(
     if name == "betweenness":
         return betweenness(net), None
     if name == "eigenvector":
-        return _eigenvector_or_zeros(net), None
+        return eigenvector(net), None
     if name == "pagerank":
         return pagerank(net, damping=settings["damping"]), None
     if policy is None:
@@ -359,8 +358,6 @@ def _path_results(
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     settings = _merge_settings(args, "compute")
-    if settings["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {settings['format']!r}")
     net = _build_network(settings)
     names = _method_list(settings["method"])
     policy = parse_policy(settings["q"]) if settings["q"] else None
@@ -552,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grades", help="grade schema: five-level, eight-level, or a JSON file"
     )
     p_compute.add_argument(
-        "--sim-mode", dest="sim_mode", choices=["exhaustive", "random"]
+        "--sim-mode", dest="sim_mode", choices=_CHOICES["sim_mode"]
     )
     p_compute.add_argument("--runs", type=int, help="random-mode draw count")
     p_compute.add_argument(
@@ -574,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also emit per-method influence matrices (CSV)",
     )
-    p_compute.add_argument("--format", choices=["csv", "json"])
+    p_compute.add_argument("--format", choices=_CHOICES["format"])
     p_compute.add_argument("--output-dir", dest="output_dir")
     p_compute.set_defaults(func=_cmd_compute)
 

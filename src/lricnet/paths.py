@@ -79,6 +79,8 @@ class GradeSchema(_Record):
         self._assign(bounds, upper_inclusive, labels)
         if not bounds:
             raise ValueError("schema needs at least one bound")
+        if any(map(math.isnan, bounds)):
+            raise ValueError(f"bounds must not be NaN: {bounds}")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"bounds must be strictly increasing: {bounds}")
         if bounds[-1] != 1.0:

@@ -125,14 +125,15 @@ class _CascadeEngine:
     (:func:`lricnet.groups._exact`, computed once), and a loss reaches 1
     when their int sum reaches the lender's `need`.
 
-    When no share is negative the cascade is monotone in its seed set (and
-    so is that exact test), which gives exact shortcuts.  Without a stage
-    cap, the cascade of several seeds is the least fixpoint containing the
-    union of their cached solo closures: it starts from that union, all of
-    it the first frontier, and is kept per union, since many seed sets
-    share one.  And a seed is redundant if another seed's solo cascade
-    already sinks it; only when no seed does is the seed set re-cascaded
-    without it.
+    Every share must be positive: the engine refuses a NaN, infinite or
+    negative one when it is built, naming the lender and the borrower.  So
+    the cascade is monotone in its seed set (and so is that exact test),
+    which gives exact shortcuts.  Without a stage cap, the cascade of
+    several seeds is the least fixpoint containing the union of their
+    cached solo closures: it starts from that union, all of it the first
+    frontier, and is kept per union, since many seed sets share one.  And
+    a seed is redundant if another seed's solo cascade already sinks it;
+    only when no seed does is the seed set re-cascaded without it.
 
     The credit a cascaded lender passes on is reachability: each lender's
     *support* is the union of its inclusion-minimal groups among its
@@ -157,24 +158,27 @@ class _CascadeEngine:
         self._n = n = len(rows)
         self._nodes = [str(k) for k in range(n)] if nodes is None else nodes
         # per lender, its (borrower bit, exact share) pairs in index order,
-        # the least int loss that reaches 1 and the mask of its borrowers
-        # with a positive share; per borrower, the mask of its lenders
+        # the least int loss that reaches 1 and the mask of its borrowers;
+        # per borrower, the mask of its lenders
         self._shares: list[list[tuple[int, int]]] = []
         self._needs: list[int] = []
         self._borrowers: list[int] = []
         self._lenders = [0] * n
         for i, row in enumerate(rows):
             borrowers = [k for k, share in enumerate(row) if share]
+            for k in borrowers:
+                share = row[k]
+                if not 0 < share < math.inf:
+                    fault = "negative" if math.isfinite(share) else "not finite"
+                    raise ValueError(
+                        f"share of {self._nodes[k]!r} in {self._nodes[i]!r} "
+                        f"is {fault}: {share}"
+                    )
+                self._lenders[k] |= 1 << i
             denominator, shares = _exact([row[k] for k in borrowers])
             self._shares.append([(1 << k, share) for k, share in zip(borrowers, shares)])
             self._needs.append(_need(_floor(1.0), denominator))
-            self._borrowers.append(sum(1 << k for k in borrowers if row[k] > 0))
-            for k in borrowers:
-                self._lenders[k] |= 1 << i
-        # a negative share breaks monotonicity, and with it every shortcut;
-        # a stage cap breaks the fixpoint one, as the union may be stages ahead
-        self._monotone = not any(share < 0 for pairs in self._shares for _, share in pairs)
-        self._from_solo = self._monotone and stage_limit is None
+            self._borrowers.append(_mask(borrowers))
         self._solo: dict[int, int] = {}
         self._witness: list[int] | None = None
         self._fixpoint: dict[int, int] = {}  # by union of solo closures
@@ -225,9 +229,18 @@ class _CascadeEngine:
             initial |= stage
         return initial
 
-    def _cascade(self, initial: int) -> int:
+    def defaulted(self, initial: int) -> int:
+        """The nodes defaulted when `initial` is seeded; none for no seed."""
+        if not initial & (initial - 1):  # at most one seed
+            if not initial:
+                return 0
+            j = initial.bit_length() - 1
+            if j in self._solo:
+                self.cache_hits += 1
+            return self.solo(j)
         self.cascades += 1
-        if not (self._from_solo and initial & (initial - 1)):
+        # a stage cap rules out the fixpoint, as the union may be stages ahead
+        if self.stage_limit is not None:
             return self._closure(initial)
         union, rest, solo = 0, initial, self._solo
         while rest:
@@ -245,19 +258,12 @@ class _CascadeEngine:
         d = self._fixpoint[union] = self._closure(union)
         return d
 
-    def defaulted(self, initial: int) -> int:
-        if initial and not initial & (initial - 1):
-            j = initial.bit_length() - 1
-            if j in self._solo:
-                self.cache_hits += 1
-            return self.solo(j)
-        return self._cascade(initial)
-
     def solo(self, j: int) -> int:
         """The nodes defaulted when `j` alone is seeded."""
         cached = self._solo.get(j)
         if cached is None:
-            cached = self._solo[j] = self._cascade(1 << j)
+            self.cascades += 1
+            cached = self._solo[j] = self._closure(1 << j)
         return cached
 
     def solos(self) -> list[int]:
@@ -277,19 +283,17 @@ class _CascadeEngine:
         """The union of the inclusion-minimal subsets of `present` whose
         shares reach 1.
 
-        Only borrowers with a positive share count, so the sums are
-        monotone, and the union is the set of members pivotal in some
-        critical group: those without whose shares, summed exactly, the
-        group's shares fall short of 1 (:func:`lricnet.groups._pivots`).
+        Every share is positive, so the sums are monotone, and the union is
+        the set of members pivotal in some critical group: those without
+        whose shares, summed exactly, the group's shares fall short of 1
+        (:func:`lricnet.groups._pivots`).
         """
         key = (lender, present)
         cached = self._support.get(key)
         if cached is not None:
             self.support_hits += 1
             return cached
-        members = [
-            (bit, share) for bit, share in self._shares[lender] if present & bit and share > 0
-        ]
+        members = [(bit, share) for bit, share in self._shares[lender] if present & bit]
         if len(members) > DEFAULT_ENUMERATION_CAP:
             raise ValueError(
                 f"attribution for a lender with {len(members)} defaulted borrowers "
@@ -304,14 +308,14 @@ class _CascadeEngine:
         """The seeds of `initial` that are not redundant: those that the
         other seeds would not default anyway."""
         seeds = _members(initial)
-        witness = self._witness if self._monotone else None
+        witness = self._witness
         causes = []
         for x in seeds:
             bit = 1 << x
             if witness is not None:
                 witnessed = initial & witness[x]
             else:
-                witnessed = self._monotone and any(y != x and self.solo(y) & bit for y in seeds)
+                witnessed = any(y != x and self.solo(y) & bit for y in seeds)
             if witnessed:
                 self.solo_witnesses += 1
                 continue
@@ -397,19 +401,6 @@ def _node_indices(nodes: tuple[str, ...], names: Iterable[str]) -> list[int]:
         raise ValueError(f"unknown node {exc.args[0]!r}") from None
 
 
-def _engine(c: InfluenceMatrix, s: int | None) -> _CascadeEngine:
-    """A cascade engine over the share matrix `c`; ValueError naming the
-    first entry that is NaN or infinite, as no exact sum can hold it."""
-    rows = c.values.tolist()
-    for i, row in enumerate(rows):
-        for k, share in enumerate(row):
-            if not math.isfinite(share):
-                raise ValueError(
-                    f"share of {c.nodes[k]!r} in {c.nodes[i]!r} is not finite: {share}"
-                )
-    return _CascadeEngine(rows, stage_limit=s, nodes=c.nodes)
-
-
 def cascade(
     c: InfluenceMatrix, initial: frozenset[str] | set[str], s: int | None = None
 ) -> CascadeTrace:
@@ -417,12 +408,13 @@ def cascade(
 
     At each stage every surviving lender defaults iff the shares of its
     already-defaulted borrowers sum to at least 1.  `s` caps the number of
-    stages; None runs to the fixpoint.  A NaN or infinite share in `c`
-    raises ValueError, here and in :func:`pivotal_initiators`.
+    stages; None runs to the fixpoint.  A NaN, infinite or negative share
+    in `c` raises ValueError, here and in :func:`pivotal_initiators`.
     """
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    stages = _engine(c, s).stages(_mask(_node_indices(c.nodes, initial)))
+    engine = _CascadeEngine(c.values.tolist(), stage_limit=s, nodes=c.nodes)
+    stages = engine.stages(_mask(_node_indices(c.nodes, initial)))
     return CascadeTrace(
         initial=frozenset(initial),
         stages=tuple(frozenset(c.nodes[k] for k in _members(stage)) for stage in stages),
@@ -442,7 +434,7 @@ def pivotal_initiators(
     node) and the seeds the node reaches over support edges.  The node
     must actually default under `initial`.
     """
-    engine = _engine(c, s)
+    engine = _CascadeEngine(c.values.tolist(), stage_limit=s, nodes=c.nodes)
     target, *seeds = _node_indices(c.nodes, [defaulted_node, *initial])
     if target in seeds:
         return frozenset({defaulted_node})
@@ -564,8 +556,9 @@ def _simulate_rows(
         row = credits[j]
         for i in _members(seen):
             row[i] += count
-    # Shares are never negative, so a run seeding j defaults all of solo[j]:
-    # j's solo channel credits each i of it in every run seeding j but not i.
+    # The engine refuses negative shares, so a run seeding j defaults all of
+    # solo[j]: j's solo channel credits each i of it in every run seeding j
+    # but not i.
     for j, alone in enumerate(solo):
         row, seeded = credits[j], together[j]
         for i in _members(alone & ~(1 << j)):

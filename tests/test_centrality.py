@@ -192,10 +192,10 @@ def test_eigenvector_bipartite_star():
     assert scores == pytest.approx({"L": 1.0, "a": 5**-0.5, "b": 2 * 5**-0.5}, abs=1e-9)
 
 
-def test_eigenvector_requires_edges():
+def test_eigenvector_scores_an_edgeless_net_zero():
     net = ingest_edges([("a", "b", 0)])  # nodes survive, edge does not
-    with pytest.raises(ValueError):
-        eigenvector(net)
+    assert eigenvector(net) == {"a": 0.0, "b": 0.0}
+    assert centrality_table(net).eig == eigenvector(net)
 
 
 def test_pagerank(ex1, ex2):

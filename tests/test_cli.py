@@ -447,6 +447,21 @@ def test_config_stage_cap_below_one_exits_2(capsys, ex1_csv, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value, allowed",
+    [("sim_mode", "bogus", "'exhaustive' or 'random'"), ("format", "xml", "'csv' or 'json'")],
+)
+def test_config_values_take_the_flag_choices(capsys, ex1_csv, tmp_path, key, value, allowed):
+    # `--method kbi` never reads sim_mode, yet a config value outside the
+    # choices of its flag is refused, as `--sim-mode bogus` is
+    cfg = tmp_path / "cfg.json"
+    doc = {"edges": ex1_csv, "q": "out-share:0.25", "method": "kbi", key: value}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "compute", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be {allowed}, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
     "key, value, shown",
     [
         ("runs", 2.7, "2.7"),

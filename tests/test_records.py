@@ -239,6 +239,12 @@ def test_influence_matrix_values_are_read_only():
         ),
         (lambda: GradeSchema((0.25, 0.5)), "last bound must be 1.0, got 0.5"),
         (lambda: GradeSchema((0.0, 1.0)), "bounds must be positive: (0.0, 1.0)"),
+        # NaN fails every comparison, so no order or sign check catches it
+        (lambda: GradeSchema((float("nan"), 1.0)), "bounds must not be NaN: (nan, 1.0)"),
+        (
+            lambda: GradeSchema((0.25, float("nan"), 1.0)),
+            "bounds must not be NaN: (0.25, nan, 1.0)",
+        ),
         (lambda: GradeSchema((0.5, 1.0), labels=("x",)), "1 labels for 2 grades"),
         (
             lambda: GradeSchema((0.5, 1.0), False, ("x", "y")),

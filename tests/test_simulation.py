@@ -31,7 +31,6 @@ from lricnet import (
     threshold,
     vector_from_simulation,
 )
-from lricnet import simulation as simulation_module
 from lricnet.cli import emit_report
 from lricnet.simulation import _CascadeEngine, _seed_sets, _simulate_rows
 from test_groups import _units
@@ -141,6 +140,10 @@ def test_pivotal_initiators_edge_cases(ex1, quarter):
         pivotal_initiators(c, "6", {"10"})
     with pytest.raises(ValueError, match="unknown node"):
         pivotal_initiators(c, "99", {"10"})
+    # no seed defaults nothing, so no node is a casualty to credit
+    with pytest.raises(ValueError, match=re.escape("'1' does not default under initial set []")):
+        pivotal_initiators(c, "1", set())
+    assert _CascadeEngine(c.values.tolist()).defaulted(0) == 0
 
 
 def test_plan_validation():
@@ -395,20 +398,6 @@ def test_redundancy_through_two_seeds_together():
     assert engine.solo_witnesses == 0
 
 
-def test_negative_share_disables_solo_witness():
-    # y alone sinks x, but with z also defaulted x's loss is 1 - 1 = 0, so
-    # x is not redundant in {x, y, z}; L defaults on {x, z} and credits both
-    nodes = ("L", "x", "y", "z")
-    values = np.array([
-        [0.0, 0.6, 0.0, 0.6],
-        [0.0, 0.0, 1.0, -1.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    c = InfluenceMatrix(nodes=nodes, values=values, variant="shares")
-    assert pivotal_initiators(c, "L", {"x", "y", "z"}) == frozenset({"x", "z"})
-
-
 def test_solo_witness_settles_redundancy(ex1, quarter):
     # 10's solo cascade sinks 7, so 7 is redundant in {7, 10} without a
     # re-cascade of {10}
@@ -445,7 +434,7 @@ def _simulate_line(caplog, net, policy, plan, s=None):
     return line
 
 
-def test_simulate_logs_fixpoint_and_support_graph_counters(ex1, quarter, caplog, monkeypatch):
+def test_simulate_logs_fixpoint_and_support_graph_counters(ex1, quarter, caplog):
     plan = SimulationPlan(mode="exhaustive", k0_max=2)
     fixpoints = r"(\d+) fixpoints run for (\d+) fixpoint-cache hits"
     graphs = r"(\d+) support graphs built and (\d+) reused"
@@ -459,18 +448,6 @@ def test_simulate_logs_fixpoint_and_support_graph_counters(ex1, quarter, caplog,
     capped = _simulate_line(caplog, ex1, quarter, plan, s=1)
     assert _debug_counts(capped, fixpoints) == (0, 0)
     assert _debug_counts(capped, graphs)[0] > 0
-    # and so does a negative share: node 6 lends nothing, and is given a
-    # negative share in node 1
-    share_rows = simulation_module._share_rows
-
-    def negative(net, policy):
-        rows = share_rows(net, policy)
-        rows[net.index["6"]][net.index["1"]] = -0.5
-        return rows
-
-    monkeypatch.setattr(simulation_module, "_share_rows", negative)
-    line = _simulate_line(caplog, ex1, quarter, plan)
-    assert _debug_counts(line, fixpoints) == (0, 0)
 
 
 def test_bounded_caches_clear_and_keep_the_matrix():
@@ -509,22 +486,6 @@ def test_bounded_caches_clear_and_keep_the_matrix():
                 else:
                     overflowed["capped graphs"] += engine.graphs_built > n
     assert min(overflowed.values()) >= 3, overflowed
-
-
-def test_negative_share_keeps_seeds_out_of_the_solo_union():
-    # y alone sinks x, but with z also defaulted x's loss is 1 - 1 = 0; the
-    # union of the solo closures of y and z holds x, so a cascade started
-    # from it would default x
-    nodes = ("x", "y", "z")
-    values = np.array([
-        [0.0, 1.0, -1.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
-    c = InfluenceMatrix(nodes=nodes, values=values, variant="shares")
-    assert pivotal_initiators(c, "x", {"y"}) == frozenset({"y"})
-    with pytest.raises(ValueError, match="does not default"):
-        pivotal_initiators(c, "x", {"y", "z"})
 
 
 def test_redundant_seed_passes_no_credit():
@@ -706,11 +667,14 @@ def test_cascade_stages_match_exact_sums_near_the_floor(count, sizes):
             assert stages == ([frozenset({0})] if defaults else []), (row, sorted(seeds))
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -0.5, -5e-324])
 def test_cascade_rejects_non_finite_shares(entry):
+    # a negative share, however small, is refused too: every share that
+    # share_matrix makes lies in (0, 1], and the engine's shortcuts rest on it
     values = np.array([[0.0, entry, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     c = InfluenceMatrix(nodes=("a", "b", "c"), values=values, variant="shares")
-    message = f"share of 'b' in 'a' is not finite: {entry}"
+    fault = "negative" if math.isfinite(entry) else "not finite"
+    message = f"share of 'b' in 'a' is {fault}: {entry}"
     with pytest.raises(ValueError, match=re.escape(message)):
         cascade(c, {"c"})
     with pytest.raises(ValueError, match=re.escape(message)):
