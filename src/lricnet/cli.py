@@ -65,61 +65,84 @@ from .simulation import (
     _simulate_rows,
 )
 
-CLASSICAL_METHODS = (
-    "in-degree",
-    "out-degree",
-    "degree-difference",
-    "degree",
-    "closeness-in",
-    "closeness-out",
-    "betweenness",
-    "eigenvector",
-    "pagerank",
-)
+# per classical method, its scores of a network under the merged settings
+_CLASSICAL: dict[str, Callable[[ExposureNetwork, dict], dict[str, float]]] = {
+    "in-degree": lambda net, _: degree_measures(net)[0],
+    "out-degree": lambda net, _: degree_measures(net)[1],
+    "degree-difference": lambda net, _: degree_measures(net)[2],
+    "degree": lambda net, _: degree_measures(net)[3],
+    "closeness-in": lambda net, _: closeness(net, "in"),
+    "closeness-out": lambda net, _: closeness(net, "out"),
+    "betweenness": lambda net, _: betweenness(net),
+    "eigenvector": lambda net, _: eigenvector(net),
+    "pagerank": lambda net, settings: pagerank(net, damping=settings["damping"]),
+}
+CLASSICAL_METHODS = tuple(_CLASSICAL)
 POLICY_METHODS = ("kbi",) + PATH_METHODS + ("sim",)
 METHOD_ORDER = CLASSICAL_METHODS + POLICY_METHODS
 
-# per setting, its JSON type and built-in default; null is allowed only
-# where the default is null
-_DEFAULTS: dict[str, dict[str, tuple[str, object]]] = {
-    "compute": {
-        "edges": ("string", None),
-        "attributes": ("string", None),
-        "no_net": ("boolean", False),
-        "normalize_by": ("string", None),
-        "q": ("string", None),
-        "method": ("string", "all"),
-        "s": ("integer", None),
-        "grades": ("string", "five-level"),
-        "sim_mode": ("string", "random"),
-        "runs": ("integer", 5000),
-        "k0_max": ("integer", 5),
-        "seed": ("integer", None),
-        "default_prob_attr": ("string", None),
-        "damping": ("number", 0.85),
-        "emit_matrices": ("boolean", False),
-        "format": ("string", "csv"),
-        "output_dir": ("string", None),
-    },
-    "cascade": {
-        "edges": ("string", None),
-        "attributes": ("string", None),
-        "no_net": ("boolean", False),
-        "normalize_by": ("string", None),
-        "q": ("string", None),
-        "s": ("integer", None),
-        "initial": ("string", None),
-    },
+_BOTH = ("compute", "cascade")
+# per `compute`/`cascade` setting: the subcommands that take it, its JSON
+# type, its built-in default and its help.  It is the flag --<key with
+# dashes> and the config key <key>; null is allowed only where the default
+# is null
+_SETTINGS: dict[str, tuple[tuple[str, ...], str, object, str]] = {
+    "edges": (_BOTH, "string", None, "edge list CSV with header from,to,weight"),
+    "attributes": (_BOTH, "string", None, "node attribute CSV with header node,<attr>,..."),
+    "no_net": (_BOTH, "boolean", False, "skip netting of mutual exposures"),
+    "normalize_by": (
+        _BOTH, "string", None, "divide every weight by the lender's value of this attribute"
+    ),
+    "q": (
+        _BOTH, "string", None,
+        "threshold policy: out-share:<f> | attr-share:<name>:<f> | abs:<csv>",
+    ),
+    "method": (
+        ("compute",), "string", "all",
+        f"comma-separated subset of: {', '.join(METHOD_ORDER)}; or 'all'",
+    ),
+    "s": (
+        _BOTH, "integer", None,
+        "longest influence chain (compute) or stage cap (cascade); default: unlimited",
+    ),
+    "grades": (
+        ("compute",), "string", "five-level",
+        "grade schema: five-level, eight-level, or a JSON file",
+    ),
+    "sim_mode": (
+        ("compute",), "string", "random",
+        "every initial default set up to --k0-max, or --runs random draws",
+    ),
+    "runs": (("compute",), "integer", 5000, "random-mode draw count"),
+    "k0_max": (("compute",), "integer", 5, "largest initial default set"),
+    "seed": (("compute",), "integer", None, "RNG seed (required in random mode)"),
+    "default_prob_attr": (
+        ("compute",), "string", None,
+        "draw initial defaults per node with this attribute as probability",
+    ),
+    "damping": (("compute",), "number", 0.85, "pagerank damping factor"),
+    "emit_matrices": (
+        ("compute",), "boolean", False, "also emit per-method influence matrices (CSV)"
+    ),
+    "format": (("compute",), "string", "csv", "report format"),
+    "output_dir": (("compute",), "string", None, "write one file per method here"),
+    "initial": (("cascade",), "string", None, "comma-separated initial default nodes"),
+}
+# per subcommand, its settings in declaration order
+_COMMAND_SETTINGS = {
+    command: {key: spec[1:] for key, spec in _SETTINGS.items() if command in spec[0]}
+    for command in _BOTH
 }
 # the values a setting may take, checked for flags and config alike
 _CHOICES = {"sim_mode": ("exhaustive", "random"), "format": ("csv", "json")}
-# per JSON type, the Python types of its values and how a message names it;
-# bool is an int subclass, but `"k0_max": true` is no count
+# per JSON type, the Python types of its values, how a message names it, and
+# how its flag converts the text; bool is an int subclass, but `"k0_max": true`
+# is no count
 _JSON_TYPES = {
-    "string": ((str,), "a string"),
-    "integer": ((int,), "an integer"),
-    "number": ((int, float), "a number"),
-    "boolean": ((bool,), "true or false"),
+    "string": ((str,), "a string", str),
+    "integer": ((int,), "an integer", int),
+    "number": ((int, float), "a number", float),
+    "boolean": ((bool,), "true or false", None),
 }
 
 
@@ -200,20 +223,19 @@ def _load_config(path: str, allowed: set[str]) -> dict:
 
 
 def _merge_settings(args: argparse.Namespace, command: str) -> dict:
-    spec = _DEFAULTS[command]
-    settings = {key: default for key, (_, default) in spec.items()}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        settings.update(_load_config(config_path, allowed=set(settings)))
+    spec = _COMMAND_SETTINGS[command]
+    settings = {key: default for key, (_, default, _) in spec.items()}
+    if args.config:
+        settings.update(_load_config(args.config, allowed=set(settings)))
     for key in settings:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    for key, (kind, default) in spec.items():
+    for key, (kind, default, _) in spec.items():
         value = settings[key]
         if value is None and default is None:
             continue
-        types, name = _JSON_TYPES[kind]
+        types, name, _ = _JSON_TYPES[kind]
         if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
             raise ValueError(f"{key} must be {name}, got {value!r}")
         choices = _CHOICES.get(key)
@@ -286,24 +308,9 @@ def _compute_one(
     passes: Callable[[], dict[str, _LenderPass]],
     settings: dict,
 ) -> tuple[dict[str, float], tuple[Sequence[str], list[list[float]]] | None]:
-    if name == "in-degree":
-        return degree_measures(net)[0], None
-    if name == "out-degree":
-        return degree_measures(net)[1], None
-    if name == "degree-difference":
-        return degree_measures(net)[2], None
-    if name == "degree":
-        return degree_measures(net)[3], None
-    if name == "closeness-in":
-        return closeness(net, "in"), None
-    if name == "closeness-out":
-        return closeness(net, "out"), None
-    if name == "betweenness":
-        return betweenness(net), None
-    if name == "eigenvector":
-        return eigenvector(net), None
-    if name == "pagerank":
-        return pagerank(net, damping=settings["damping"]), None
+    classical = _CLASSICAL.get(name)
+    if classical is not None:
+        return classical(net, settings), None
     if policy is None:
         raise ValueError(f"method {name!r} needs a threshold policy (--q)")
     emit = settings["emit_matrices"]
@@ -507,80 +514,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--edges", help="edge list CSV with header from,to,weight")
-    shared.add_argument("--attributes", help="node attribute CSV with header node,<attr>,...")
-    shared.add_argument(
-        "--no-net",
-        dest="no_net",
-        action="store_const",
-        const=True,
-        default=None,
-        help="skip netting of mutual exposures",
-    )
-    shared.add_argument(
-        "--normalize-by",
-        dest="normalize_by",
-        metavar="ATTR",
-        help="divide every weight by the lender's value of this attribute",
-    )
-    shared.add_argument(
-        "--q",
-        help="threshold policy: out-share:<f> | attr-share:<name>:<f> | abs:<csv>",
-    )
-    shared.add_argument("--config", help="JSON file supplying defaults for any flag")
-
     p_net = sub.add_parser("net", help="net mutual exposures and write the edge list")
     p_net.add_argument("--edges", required=True, help="edge list CSV")
     p_net.add_argument("--output", help="output path (default stdout)")
     p_net.set_defaults(func=_cmd_net)
 
-    p_compute = sub.add_parser(
-        "compute", parents=[shared], help="compute node scores and rankings"
-    )
-    p_compute.add_argument(
-        "--method",
-        help=f"comma-separated subset of: {', '.join(METHOD_ORDER)}; or 'all'",
-    )
-    p_compute.add_argument(
-        "--s", type=int, help="maximum influence chain length (default: unlimited)"
-    )
-    p_compute.add_argument(
-        "--grades", help="grade schema: five-level, eight-level, or a JSON file"
-    )
-    p_compute.add_argument(
-        "--sim-mode", dest="sim_mode", choices=_CHOICES["sim_mode"]
-    )
-    p_compute.add_argument("--runs", type=int, help="random-mode draw count")
-    p_compute.add_argument(
-        "--k0-max", dest="k0_max", type=int, help="largest initial default set"
-    )
-    p_compute.add_argument("--seed", type=int, help="RNG seed (required in random mode)")
-    p_compute.add_argument(
-        "--default-prob-attr",
-        dest="default_prob_attr",
-        metavar="ATTR",
-        help="draw initial defaults per node with this attribute as probability",
-    )
-    p_compute.add_argument("--damping", type=float, help="pagerank damping factor")
-    p_compute.add_argument(
-        "--emit-matrices",
-        dest="emit_matrices",
-        action="store_const",
-        const=True,
-        default=None,
-        help="also emit per-method influence matrices (CSV)",
-    )
-    p_compute.add_argument("--format", choices=_CHOICES["format"])
-    p_compute.add_argument("--output-dir", dest="output_dir")
-    p_compute.set_defaults(func=_cmd_compute)
-
-    p_cascade = sub.add_parser(
-        "cascade", parents=[shared], help="propagate an initial default set"
-    )
-    p_cascade.add_argument("--initial", help="comma-separated initial default nodes")
-    p_cascade.add_argument("--s", type=int, help="stage cap (default: run to fixpoint)")
-    p_cascade.set_defaults(func=_cmd_cascade)
+    for command, func, text in (
+        ("compute", _cmd_compute, "compute node scores and rankings"),
+        ("cascade", _cmd_cascade, "propagate an initial default set"),
+    ):
+        p_command = sub.add_parser(command, help=text)
+        for key, (kind, _, help_text) in _COMMAND_SETTINGS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if kind == "boolean":
+                p_command.add_argument(
+                    flag, dest=key, action="store_const", const=True, help=help_text
+                )
+            else:
+                _, _, convert = _JSON_TYPES[kind]
+                p_command.add_argument(
+                    flag, dest=key, type=convert, choices=_CHOICES.get(key), help=help_text
+                )
+        p_command.add_argument("--config", help="JSON file supplying defaults for any flag")
+        p_command.set_defaults(func=func)
 
     p_compare = sub.add_parser("compare", help="rank agreement between score files")
     p_compare.add_argument(

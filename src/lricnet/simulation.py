@@ -470,10 +470,13 @@ def _uniform_subset(
     raise AssertionError("unreachable")
 
 
-def _bernoulli_subset(
-    rng: random.Random, probs: list[float], k_max: int, max_attempts: int = 100_000
-) -> list[int]:
-    for _ in range(max_attempts):
+# draws of per-node defaults before a probability table is refused as one that
+# almost never gives a nonempty set of at most k0_max nodes
+_BERNOULLI_ATTEMPTS = 100_000
+
+
+def _bernoulli_subset(rng: random.Random, probs: list[float], k_max: int) -> list[int]:
+    for _ in range(_BERNOULLI_ATTEMPTS):
         drawn = [i for i, p in enumerate(probs) if rng.random() < p]
         if 0 < len(drawn) <= k_max:
             return drawn

@@ -32,7 +32,17 @@ from lricnet import (
     simple_paths,
 )
 from lricnet import groups as groups_module
-from lricnet.cli import _DEFAULTS, METHOD_ORDER, POLICY_METHODS, emit_report, parse_policy, run
+from lricnet.cli import (
+    _CHOICES,
+    _COMMAND_SETTINGS,
+    METHOD_ORDER,
+    POLICY_METHODS,
+    _merge_settings,
+    build_parser,
+    emit_report,
+    parse_policy,
+    run,
+)
 
 
 @pytest.fixture
@@ -1028,8 +1038,30 @@ JSON_ACCEPTS = {
 
 def test_config_types_cover_every_setting():
     assert {c: list(keys) for c, keys in CONFIG_TYPES.items()} == {
-        c: list(keys) for c, keys in _DEFAULTS.items()
+        c: list(keys) for c, keys in _COMMAND_SETTINGS.items()
     }
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, key) for c, keys in _COMMAND_SETTINGS.items() for key in keys],
+    ids=lambda part: part,
+)
+def test_each_flag_and_its_config_key_give_the_same_settings(tmp_path, command, key):
+    # config keys mirror the flag names with underscores
+    kind, default, _ = _COMMAND_SETTINGS[command][key]
+    if key in _CHOICES:
+        value = next(choice for choice in _CHOICES[key] if choice != default)
+    else:
+        value = JSON_SAMPLES[kind]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    flag = ["--" + key.replace("_", "-")] + ([] if kind == "boolean" else [str(value)])
+    parser = build_parser()
+    by_flag = _merge_settings(parser.parse_args([command, *flag]), command)
+    by_config = _merge_settings(parser.parse_args([command, "--config", str(cfg)]), command)
+    assert by_flag == by_config
+    assert type(by_flag[key]) is type(value) and by_flag[key] == value != default
 
 
 def _wrong_config_values():
