@@ -17,7 +17,9 @@ casualty, not a cause, and passes no credit on.  Initiators whose solo
 default suffices to sink the target are always credited.  Each node's solo
 cascade is run once and kept: it settles most redundancy checks, and
 without a stage cap a cascade of several seeds starts from the union of
-their solo closures, its fixpoint kept per union.
+their solo closures, its fixpoint kept per union.  A run whose every seed
+lies in another seed's solo cascade has no cause, so it is credited through
+the solo cascades alone, and not cascaded at all.
 
 The share and simulated matrices are lists of rows inside this module; only
 the public :func:`share_matrix` and :func:`simulate` turn them into numpy
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .groups import DEFAULT_ENUMERATION_CAP, _debug, _exact, _floor, _need, _non_dummies
@@ -457,17 +460,57 @@ def _credits(engine: _CascadeEngine, initial: int) -> dict[int, list[int]]:
     }
 
 
-def _uniform_subset(
-    rng: random.Random, n: int, counts: list[int], total: int
-) -> list[int]:
-    """A draw from the nonempty subsets of range(n), `counts[k - 1]` of
-    them of size k, `total` in all, each equally likely."""
-    r = rng.randrange(total)
-    for k, count in enumerate(counts, start=1):
-        if r < count:
-            return rng.sample(range(n), k)
-        r -= count
-    raise AssertionError("unreachable")
+def _uniform_subsets(
+    rng: random.Random, n: int, k_max: int, runs: int
+) -> Iterator[tuple[int, list[int]]]:
+    """`runs` draws from the nonempty subsets of range(n) of at most `k_max`
+    members, each equally likely, as (bitmask, indices) pairs.
+
+    Draw for draw these are the sets of ``rng.randrange(total)``, which
+    picks the size k in proportion to C(n, k), then
+    ``rng.sample(range(n), k)``: the same ``getrandbits`` calls, taken
+    straight.  Like ``random.sample``, a size whose set-size bound is at
+    least n swaps its draws out of a pool of n, and any other size redraws
+    a node already drawn.
+    """
+    ends = list(accumulate(math.comb(n, k) for k in range(1, k_max + 1)))
+    total = ends[-1]
+    width = total.bit_length()
+    # random.sample's bound: the size of a small set, plus the table of a
+    # large one above 5 members
+    pooled = [
+        n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+        for k in range(k_max + 1)
+    ]
+    widths = [m.bit_length() for m in range(n + 1)]  # per randbelow(m)
+    everyone = list(range(n))
+    getrandbits = rng.getrandbits
+    for _ in range(runs):
+        r = getrandbits(width)
+        while r >= total:
+            r = getrandbits(width)
+        k = bisect_right(ends, r) + 1
+        mask, seeds = 0, []
+        if pooled[k]:
+            pool = everyone.copy()
+            for m in range(n, n - k, -1):
+                b = widths[m]
+                j = getrandbits(b)
+                while j >= m:
+                    j = getrandbits(b)
+                x = pool[j]
+                pool[j] = pool[m - 1]
+                seeds.append(x)
+                mask |= 1 << x
+        else:
+            b = widths[n]
+            for _ in range(k):
+                j = getrandbits(b)
+                while j >= n or mask >> j & 1:
+                    j = getrandbits(b)
+                seeds.append(j)
+                mask |= 1 << j
+        yield mask, seeds
 
 
 # draws of per-node defaults before a probability table is refused as one that
@@ -485,15 +528,19 @@ def _bernoulli_subset(rng: random.Random, probs: list[float], k_max: int) -> lis
     )
 
 
-def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]) -> Iterator[Sequence[int]]:
-    """The initial default sets of `plan`, each as distinct node indices."""
+def _seed_sets(
+    plan: SimulationPlan, nodes: tuple[str, ...]
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """The initial default sets of `plan`, each as a bitmask and as its
+    distinct node indices."""
     n = len(nodes)
     if n == 0:
         return
     k_max = min(plan.k0_max, n)
     if plan.mode == "exhaustive":
         for size in range(1, k_max + 1):
-            yield from combinations(range(n), size)
+            for seeds in combinations(range(n), size):
+                yield _mask(seeds), seeds
         return
     rng = random.Random(plan.seed)
     if plan.probabilities is not None:
@@ -502,12 +549,10 @@ def _seed_sets(plan: SimulationPlan, nodes: tuple[str, ...]) -> Iterator[Sequenc
             raise ValueError(f"probabilities for unknown nodes: {sorted(unknown)}")
         probs = [plan.probabilities.get(v, 0.0) for v in nodes]
         for _ in range(plan.runs):
-            yield _bernoulli_subset(rng, probs, k_max)
+            seeds = _bernoulli_subset(rng, probs, k_max)
+            yield _mask(seeds), seeds
         return
-    counts = [math.comb(n, k) for k in range(1, k_max + 1)]
-    total = sum(counts)
-    for _ in range(plan.runs):
-        yield _uniform_subset(rng, n, counts, total)
+    yield from _uniform_subsets(rng, n, k_max, plan.runs)
 
 
 def simulate(
@@ -539,17 +584,24 @@ def _simulate_rows(
     credits = [[0] * n for _ in range(n)]  # by seed, then lender
     together = [[0] * n for _ in range(n)]
     solo = engine.solos()
+    # per node j, the other nodes that j's solo cascade sinks
+    sinks = [alone & ~(1 << j) for j, alone in enumerate(solo)]
     # runs per (seed j, the lenders j reached outside its solo cascade)
     reaches: dict[tuple[int, int], int] = {}
-    runs = 0
-    for seed_set in _seed_sets(plan, net.nodes):
+    runs = settled = 0
+    for mask, seeds in _seed_sets(plan, net.nodes):
         runs += 1
-        mask = 0
-        for i in seed_set:
-            mask |= 1 << i
+        sunk = 0
+        for i in seeds:
+            sunk |= sinks[i]
             row = together[i]
-            for j in seed_set:
+            for j in seeds:
                 row[j] += 1
+        # a run whose every seed another seed's solo cascade sinks has no
+        # cause, so `reach` would credit nothing
+        if not mask & ~sunk:
+            settled += 1
+            continue
         for j, seen in engine.reach(mask)[1].items():
             seen &= ~solo[j]
             if seen:
@@ -562,17 +614,18 @@ def _simulate_rows(
     # The engine refuses negative shares, so a run seeding j defaults all of
     # solo[j]: j's solo channel credits each i of it in every run seeding j
     # but not i.
-    for j, alone in enumerate(solo):
+    for j, victims in enumerate(sinks):
         row, seeded = credits[j], together[j]
-        for i in _members(alone & ~(1 << j)):
+        for i in _members(victims):
             row[i] += seeded[j] - seeded[i]
     _debug(
         __name__,
-        "simulated %d runs on %d nodes: %d cascades, %d cascade-cache hits, "
+        "simulated %d runs on %d nodes: %d runs settled by solo witnesses alone, "
+        "%d cascades, %d cascade-cache hits, "
         "%d fixpoints run for %d fixpoint-cache hits, "
         "%d redundancy checks settled by a solo cascade, %d supports cached "
         "for %d support-cache hits, %d support graphs built and %d reused",
-        runs, n, engine.cascades, engine.cache_hits, engine.fixpoints,
+        runs, n, settled, engine.cascades, engine.cache_hits, engine.fixpoints,
         engine.fixpoint_hits, engine.solo_witnesses, len(engine._support),
         engine.support_hits, engine.graphs_built, engine.graphs_reused,
     )

@@ -10,6 +10,7 @@ import logging
 import math
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -419,6 +420,43 @@ def test_simulate_logs_work_counters(ex1, quarter, caplog):
     assert "cascades" in line
     assert "cascade-cache hits" in line
     assert "redundancy checks settled by a solo cascade" in line
+    assert "runs settled by solo witnesses alone" in line
+    # a, b and c lend in a ring, each to one borrower, so each one's solo
+    # cascade sinks all four nodes: a run seeding two of them settles
+    # without the engine; d, which lends to a, sinks nobody else
+    net = ingest_edges([("a", "b", 1), ("b", "c", 1), ("c", "a", 1), ("d", "a", 1)])
+    counts = []
+    for plan in (
+        SimulationPlan(mode="exhaustive", k0_max=3),
+        SimulationPlan(mode="random", runs=300, k0_max=3, seed=1),
+    ):
+        with _reach_calls() as reached:
+            line = _simulate_line(caplog, net, quarter, plan)
+        runs, settled = _debug_counts(
+            line, r"simulated (\d+) runs on 4 nodes: (\d+) runs settled by solo witnesses alone"
+        )
+        assert settled > 0
+        assert settled + reached[0] == runs
+        counts.append((runs, settled))
+    # exhaustively: the three pairs of ring nodes, the ring itself and the
+    # three triples of d and two ring nodes
+    assert counts[0] == (14, 7)
+
+
+@contextmanager
+def _reach_calls():
+    """The calls of `_CascadeEngine.reach` made within the block, counted
+    in a one-item list."""
+    calls = [0]
+    reach = _CascadeEngine.reach
+
+    def counting(self, initial):
+        calls[0] += 1
+        return reach(self, initial)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_CascadeEngine, "reach", counting)
+        yield calls
 
 
 def _debug_counts(line, pattern):
@@ -704,6 +742,38 @@ def _numpy_share_matrix(net, policy):
     return InfluenceMatrix(nodes=nodes, values=values, variant="shares")
 
 
+def _stdlib_seed_sets(plan, n):
+    """The uniform random-mode draws as `random.Random(plan.seed)` makes
+    them: the size by ``randrange`` over the family, then ``sample``."""
+    rng = random.Random(plan.seed)
+    counts = [math.comb(n, k) for k in range(1, min(plan.k0_max, n) + 1)]
+    total = sum(counts)
+    for _ in range(plan.runs):
+        r = rng.randrange(total)
+        for k, count in enumerate(counts, start=1):
+            if r < count:
+                yield rng.sample(range(n), k)
+                break
+            r -= count
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 21, 22, 80, 85, 86, 200])
+def test_random_draws_are_the_stdlib_draws(n):
+    # random.sample keeps a pool when n is at most 21 (plus 64 from 6
+    # members on), and redraws repeated nodes otherwise: these sizes sit on
+    # both sides of both bounds
+    nodes = tuple(map(str, range(n)))
+    for k0_max in range(1, 9):
+        for seed in (0, 1, 7, 20261020):
+            plan = SimulationPlan(mode="random", runs=300, k0_max=k0_max, seed=seed)
+            got = list(_seed_sets(plan, nodes))
+            want = list(_stdlib_seed_sets(plan, n))
+            assert [sorted(seeds) for _, seeds in got] == [sorted(w) for w in want], (
+                k0_max, seed,
+            )
+            assert [mask for mask, _ in got] == [_mask(w) for w in want]
+
+
 def _numpy_simulate(net, policy, plan, s=None):
     shares = _numpy_share_matrix(net, policy)
     n = len(shares.nodes)
@@ -711,7 +781,14 @@ def _numpy_simulate(net, policy, plan, s=None):
     credits = [[0] * n for _ in range(n)]
     together = [[0] * n for _ in range(n)]
     solo = [_set(engine.solo(j)) for j in range(n)]
-    for seed_set in _seed_sets(plan, shares.nodes):
+    if plan.mode == "exhaustive":
+        seed_sets = (
+            seeds for size in range(1, min(plan.k0_max, n) + 1)
+            for seeds in combinations(range(n), size)
+        )
+    else:
+        seed_sets = _stdlib_seed_sets(plan, n)
+    for seed_set in seed_sets:
         for i in seed_set:
             row = together[i]
             for j in seed_set:
@@ -758,30 +835,64 @@ def _oracle_plans(k):
     return SimulationPlan(mode="random", runs=1 + k % 12, k0_max=1 + k % 4, seed=k)
 
 
+def _matches_the_numpy_oracle(net, policy, plan, s):
+    """Whether `simulate` and `vector_from_simulation` agree with the numpy
+    oracles; False where the oracle's vector is undefined."""
+    expected = _numpy_simulate(net, policy, plan, s)
+    got = simulate(net, policy, plan, s)
+    assert isinstance(got.values, np.ndarray)
+    assert np.array_equal(got.values, expected.values, equal_nan=True), (net.edges, s)
+    assert np.array_equal(
+        share_matrix(net, policy).values, _numpy_share_matrix(net, policy).values
+    )
+    try:
+        want = _numpy_vector_from_simulation(net, expected)
+    except ValueError:
+        with pytest.raises(ValueError, match="undefined"):
+            vector_from_simulation(net, got)
+        return False
+    vector = vector_from_simulation(net, got)
+    assert vector.keys() == want.keys()
+    for v in want:
+        assert math.isclose(vector[v], want[v], rel_tol=1e-12), (net.edges, v)
+    return True
+
+
+def _witnessed_net(rng):
+    """A random net plus a node h that every node but "0" lends 10,000,
+    and that lends only to "0", while "0" lends 10,000 to "1": the solo
+    cascades of h, "0" and "1" each sink every node, so a run seeding two
+    of them settles on solo witnesses alone."""
+    net = _random_net(rng)
+    records = [(a, b, w) for (a, b), w in net.edges.items()]
+    records += [(v, "h", 10_000) for v in sorted({*net.nodes, "1"} - {"0"})]
+    records += [("h", "0", 1), ("0", "1", 10_000)]
+    return ingest_edges(records)
+
+
 def test_simulation_matches_the_numpy_oracle():
     undefined = 0
     for k, (net, policy, s) in enumerate(_random_cases(240)):
-        plan = _oracle_plans(k)
-        expected = _numpy_simulate(net, policy, plan, s)
-        got = simulate(net, policy, plan, s)
-        assert isinstance(got.values, np.ndarray)
-        assert np.array_equal(got.values, expected.values, equal_nan=True), (net.edges, s)
-        assert np.array_equal(
-            share_matrix(net, policy).values, _numpy_share_matrix(net, policy).values
-        )
-        try:
-            want = _numpy_vector_from_simulation(net, expected)
-        except ValueError:
-            undefined += 1
-            with pytest.raises(ValueError, match="undefined"):
-                vector_from_simulation(net, got)
-            continue
-        vector = vector_from_simulation(net, got)
-        assert vector.keys() == want.keys()
-        for v in want:
-            assert math.isclose(vector[v], want[v], rel_tol=1e-12), (net.edges, v)
+        undefined += not _matches_the_numpy_oracle(net, policy, _oracle_plans(k), s)
     # both branches ran
     assert 0 < undefined < 200
+    # long random plans on nets where many runs settle on solo witnesses
+    # and never reach the engine
+    rng = random.Random(20261020)
+    runs = reached = 0
+    for k in range(12):
+        net = _witnessed_net(rng)
+        policy = OutShareQuota(rng.choice([0.25, 0.5, 0.75]))
+        plan = SimulationPlan(
+            mode="random", runs=rng.randint(200, 400), k0_max=rng.randint(2, 4), seed=k
+        )
+        s = (None, 1, 2)[k % 3]
+        assert _matches_the_numpy_oracle(net, policy, plan, s)
+        with _reach_calls() as calls:
+            simulate(net, policy, plan, s)
+        runs += plan.runs
+        reached += calls[0]
+    assert 0 < reached < runs
 
 
 def test_simulate_still_returns_an_array():
