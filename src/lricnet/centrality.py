@@ -173,6 +173,12 @@ def eigenvector(
         sym[i][j] = sym[i].get(j, 0.0) + w
         sym[j][i] = sym[j].get(i, 0.0) + w
     rows = [list(entries.items()) for entries in sym]
+    top = max(s for row in rows for _, s in row)
+    if math.isinf(top * len(nodes)):
+        # a step's sums could overflow; scaling every entry by one power of
+        # two is exact, so the iteration stays the same
+        scale = 2.0 ** -math.frexp(top)[1]
+        rows = [[(j, s * scale) for j, s in row] for row in rows]
     v = [1.0] * len(nodes)
     residual = math.inf
     for _ in range(max_iter):

@@ -306,8 +306,11 @@ def _compute_one(
     net: ExposureNetwork,
     policy: ThresholdPolicy | None,
     passes: Callable[[], dict[str, _LenderPass]],
+    fold: Callable[[], dict[str, list[list[float]]]],
     settings: dict,
-) -> tuple[dict[str, float], tuple[Sequence[str], list[list[float]]] | None]:
+) -> tuple[dict[str, float], list[list[float]] | None]:
+    """The scores of method `name` and, with --emit-matrices, its matrix
+    over ``net.nodes``."""
     classical = _CLASSICAL.get(name)
     if classical is not None:
         return classical(net, settings), None
@@ -316,8 +319,7 @@ def _compute_one(
     emit = settings["emit_matrices"]
     if name == "kbi":
         rows = _kbi_rows(passes())
-        scores = kbi_from_rows(net, rows)
-        return scores, (net.nodes, kbi_matrix(net, rows)) if emit else None
+        return kbi_from_rows(net, rows), kbi_matrix(net, rows) if emit else None
     if name == "sim":
         plan = SimulationPlan(
             mode=settings["sim_mode"],
@@ -331,36 +333,9 @@ def _compute_one(
             ),
         )
         rows = _simulate_rows(net, policy, plan, settings["s"])
-        return _sim_scores(net, net.nodes, rows), (net.nodes, rows) if emit else None
-    raise ValueError(f"unknown method {name!r}")
-
-
-def _path_results(
-    names: Sequence[str],
-    net: ExposureNetwork,
-    policy: ThresholdPolicy | None,
-    passes: Callable[[], dict[str, _LenderPass]],
-    schema: GradeSchema,
-    settings: dict,
-) -> dict[str, tuple[dict[str, float], tuple[Sequence[str], list[list[float]]] | None]]:
-    """Results of the named path methods, all from one fold over the chains.
-
-    Run it after the other methods: its matrices would otherwise stay live
-    while they run and raise the peak memory.
-    """
-    path_names = [name for name in names if name in PATH_METHODS]
-    if not path_names:
-        return {}
-    if policy is None:
-        raise ValueError(f"method {path_names[0]!r} needs a threshold policy (--q)")
-    direct = _influence_rows(net, passes())
-    matrices = _fold_chains(net.nodes, direct, settings["s"], schema)
-    results = {}
-    for name in path_names:
-        values = matrices[name]
-        emitted = (net.nodes, values) if settings["emit_matrices"] else None
-        results[name] = _weighted_scores(net, net.nodes, values), emitted
-    return results
+        return _sim_scores(net, net.nodes, rows), rows if emit else None
+    rows = fold()[name]
+    return _weighted_scores(net, net.nodes, rows), rows if emit else None
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -369,33 +344,35 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     names = _method_list(settings["method"])
     policy = parse_policy(settings["q"]) if settings["q"] else None
     schema = _resolve_grades(settings["grades"])
-    # walked at first use, so errors keep the order of the method list
+    # each walked at first use, so errors keep the order of the method list;
+    # the path methods run last, so the fold's matrices are not live while
+    # the other methods run
     passes = functools.cache(lambda: _lender_passes(net, policy))
+    fold = functools.cache(
+        lambda: _fold_chains(net.nodes, _influence_rows(net, passes()), settings["s"], schema)
+    )
     results = {
-        name: _compute_one(name, net, policy, passes, settings)
-        for name in names
-        if name not in PATH_METHODS
+        name: _compute_one(name, net, policy, passes, fold, settings)
+        for name in sorted(names, key=PATH_METHODS.__contains__)
     }
-    results.update(_path_results(names, net, policy, passes, schema, settings))
     outdir = settings["output_dir"]
     fmt = settings["format"]
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        for name in names:
-            scores, matrix = results[name]
-            _write(os.path.join(outdir, f"{name}.{fmt}"), emit_report(scores, fmt))
-            if matrix is not None:
-                _write(os.path.join(outdir, f"{name}.matrix.csv"), _matrix_csv(*matrix))
-        return 0
     for pos, name in enumerate(names):
-        if pos:
-            print()
         scores, matrix = results[name]
-        print(f"# {name}")
-        sys.stdout.write(emit_report(scores, fmt).decode("utf-8"))
+        sections = [(name, f"{name}.{fmt}", emit_report(scores, fmt))]
         if matrix is not None:
-            print(f"# {name} matrix")
-            sys.stdout.write(_matrix_csv(*matrix).decode("utf-8"))
+            data = _matrix_csv(net.nodes, matrix)
+            sections.append((f"{name} matrix", f"{name}.matrix.csv", data))
+        if pos and not outdir:
+            print()
+        for title, filename, data in sections:
+            if outdir:
+                _write(os.path.join(outdir, filename), data)
+            else:
+                print(f"# {title}")
+                sys.stdout.write(data.decode("utf-8"))
     return 0
 
 

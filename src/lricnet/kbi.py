@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .groups import _lender_pass, _lender_passes, _LenderPass
-from .network import ExposureNetwork, ThresholdPolicy, out_strength
+from .network import ExposureNetwork, ThresholdPolicy, _fsum, out_strength
 
 
 def direct_intensity(net: ExposureNetwork, lender: str) -> dict[str, float]:
@@ -80,7 +80,7 @@ def kbi_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> dict[str, dict[st
 def kbi_from_rows(net: ExposureNetwork, rows: dict[str, dict[str, float]]) -> dict[str, float]:
     """Aggregate index from per-lender rows, weighted by lending volume;
     each score is an exact sum of its terms, rounded once."""
-    grand_total = math.fsum(net.out_strengths.values())
+    grand_total = _fsum(net.out_strengths.values(), "the loans of all lenders")
     if grand_total == 0:
         return {v: 0.0 for v in net.nodes}
     terms: dict[str, list[float]] = {v: [] for v in net.nodes}

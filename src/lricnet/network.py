@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 
@@ -80,6 +80,16 @@ def _tuple_ne(self: tuple, other: object) -> bool:
     return equal if equal is NotImplemented else not equal
 
 
+def _fsum(values: Iterable[float], what: str, node: str | None = None) -> float:
+    """``math.fsum(values)``; a sum past the largest float raises ValueError
+    naming `what` (and `node`), not OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        named = what if node is None else f"{what} {node!r}"
+        raise ValueError(f"{named} sum to a non-finite value") from None
+
+
 class ExposureNetwork(_Record):
     """Immutable weighted directed exposure graph.
 
@@ -102,7 +112,8 @@ class ExposureNetwork(_Record):
     ``out_strengths`` / ``in_strengths`` hold each node's total lending and
     borrowing, summed exactly and rounded once (``math.fsum``), so they do
     not depend on the order of ``edges``, and each lender's borrowers are
-    sorted for :meth:`borrowers_of`.
+    sorted for :meth:`borrowers_of`.  A total past the largest float raises
+    ValueError naming the node.
     """
 
     _fields = ("nodes", "edges", "attributes")
@@ -127,8 +138,8 @@ class ExposureNetwork(_Record):
                 raise ValueError(f"edge {a!r}->{b!r} references unknown node")
             borrowers[a].append(b)
             lenders[b].append(a)
-        outs = {a: math.fsum([edges[a, b] for b in bs]) for a, bs in borrowers.items()}
-        ins = {b: math.fsum([edges[a, b] for a in ls]) for b, ls in lenders.items()}
+        outs = {a: _fsum([edges[a, b] for b in bs], "loans of", a) for a, bs in borrowers.items()}
+        ins = {b: _fsum([edges[a, b] for a in ls], "loans to", b) for b, ls in lenders.items()}
         ordered = {a: tuple(sorted(bs, key=node_sort_key)) for a, bs in borrowers.items()}
         self._assign(nodes, edges, {} if attributes is None else attributes)
         view = object.__setattr__

@@ -27,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .groups import _lender_passes, _LenderPass
-from .network import ExposureNetwork, ThresholdPolicy, _read_json, _Record, node_sort_key
+from .network import ExposureNetwork, ThresholdPolicy, _fsum, _read_json, _Record, node_sort_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -487,7 +487,7 @@ def _weighted_scores(
     depend on the order of the nodes and equal columns get equal scores.
     """
     strengths = [net.out_strengths[v] for v in nodes]
-    total = math.fsum(strengths)
+    total = _fsum(strengths, "the loans of all lenders")
     if total == 0:
         return {v: 0.0 for v in nodes}
     weights = [strength / total for strength in strengths]

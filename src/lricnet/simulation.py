@@ -183,7 +183,6 @@ class _CascadeEngine:
             self._needs.append(_need(_floor(1.0), denominator))
             self._borrowers.append(_mask(borrowers))
         self._solo: dict[int, int] = {}
-        self._witness: list[int] | None = None
         self._fixpoint: dict[int, int] = {}  # by union of solo closures
         self._support: dict[tuple[int, int], int] = {}
         # by defaulted set: [mask of the lenders folded in, backers per node]
@@ -269,19 +268,6 @@ class _CascadeEngine:
             cached = self._solo[j] = self._closure(1 << j)
         return cached
 
-    def solos(self) -> list[int]:
-        """Every node's solo cascade, in index order.  Also keeps, per node
-        x, the mask of the other nodes whose solo cascade sinks x, which
-        settles the solo-witness checks of every later :meth:`reach`."""
-        solos = [self.solo(j) for j in range(self._n)]
-        witness = [0] * self._n
-        for y, sunk in enumerate(solos):
-            bit = 1 << y
-            for x in _members(sunk & ~bit):
-                witness[x] |= bit
-        self._witness = witness
-        return solos
-
     def support(self, lender: int, present: int) -> int:
         """The union of the inclusion-minimal subsets of `present` whose
         shares reach 1.
@@ -311,15 +297,10 @@ class _CascadeEngine:
         """The seeds of `initial` that are not redundant: those that the
         other seeds would not default anyway."""
         seeds = _members(initial)
-        witness = self._witness
         causes = []
         for x in seeds:
             bit = 1 << x
-            if witness is not None:
-                witnessed = initial & witness[x]
-            else:
-                witnessed = any(y != x and self.solo(y) & bit for y in seeds)
-            if witnessed:
+            if any(y != x and self.solo(y) & bit for y in seeds):
                 self.solo_witnesses += 1
                 continue
             rest = initial & ~bit
@@ -583,7 +564,7 @@ def _simulate_rows(
     # runs seeding j
     credits = [[0] * n for _ in range(n)]  # by seed, then lender
     together = [[0] * n for _ in range(n)]
-    solo = engine.solos()
+    solo = [engine.solo(j) for j in range(n)]
     # per node j, the other nodes that j's solo cascade sinks
     sinks = [alone & ~(1 << j) for j, alone in enumerate(solo)]
     # runs per (seed j, the lenders j reached outside its solo cascade)

@@ -192,6 +192,15 @@ def test_eigenvector_bipartite_star():
     assert scores == pytest.approx({"L": 1.0, "a": 5**-0.5, "b": 2 * 5**-0.5}, abs=1e-9)
 
 
+def test_eigenvector_of_weights_whose_row_sums_overflow():
+    # the rows of b and c in A + Aᵀ + I sum past the largest float
+    chain = [("a", "b"), ("b", "c"), ("c", "d")]
+    big = eigenvector(ingest_edges([(a, b, 1e308) for a, b in chain]))
+    small = eigenvector(ingest_edges([(a, b, 1) for a, b in chain]))
+    assert big == pytest.approx(small, abs=1e-9)
+    assert big["b"] == big["c"] == 1.0
+
+
 def test_eigenvector_scores_an_edgeless_net_zero():
     net = ingest_edges([("a", "b", 0)])  # nodes survive, edge does not
     assert eigenvector(net) == {"a": 0.0, "b": 0.0}

@@ -1162,3 +1162,79 @@ def test_python_dash_m_runs_the_cli(ex1_csv, module):
     assert dash_m.stdout == console.stdout
     assert console.stdout.startswith(b"# degree\nnode,score,rank\n")
     assert dash_m.stderr == b""
+
+
+# finite weights whose sums are not: a's lending, b's borrowing, and only
+# the total lending of all lenders
+OVERFLOWS = {
+    "lending": ([("a", "b", 1e308), ("a", "c", 1e308)], "loans of 'a'"),
+    "borrowing": ([("a", "b", 1e308), ("c", "b", 1e308)], "loans to 'b'"),
+    "total": (
+        [("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)],
+        "the loans of all lenders",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, argv",
+    [
+        ("lending", ("net",)),
+        ("lending", ("compute", "--method", "kbi")),
+        ("borrowing", ("net",)),
+        ("borrowing", ("compute", "--method", "in-degree")),
+        ("total", ("compute", "--method", "kbi")),
+        ("total", ("compute", "--method", "maxpath")),
+        ("total", ("compute", "--method", "sim")),
+        ("total", ("compute", "--method", "all")),
+    ],
+)
+def test_sums_past_the_largest_float_end_in_one_error_line(tmp_path, shape, argv):
+    edges, what = OVERFLOWS[shape]
+    path = str(write_edges_csv(tmp_path / "edges.csv", edges))
+    if argv[0] == "compute":
+        argv = (*argv, "--q", "out-share:0.25", "--seed", "1", "--runs", "50")
+    cli = "import sys; from lricnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", cli, *argv, "--edges", path],
+        env=_child_env(), capture_output=True, timeout=60,
+    )
+    assert b"Traceback" not in child.stderr
+    assert child.stderr.decode() == f"error: {what} sum to a non-finite value\n"
+    assert child.returncode == 2 and child.stdout == b""
+
+
+# the path methods run after the others, each group in list order
+@pytest.mark.parametrize(
+    "methods, named", [("sim,maxt", "sim"), ("maxt,kbi", "kbi"), ("maxpath,sumpaths", "maxpath")]
+)
+def test_policy_errors_name_the_first_method_run(capsys, ex1_csv, methods, named):
+    code, out, err = _run(
+        capsys, "compute", "--edges", ex1_csv, "--method", methods, "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: method {named!r} needs a threshold policy (--q)\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_dir_files_equal_their_sections_of_stdout(capsys, ex1_csv, tmp_path, fmt):
+    argv = (
+        "compute", "--edges", ex1_csv, "--q", "out-share:0.25", "--method", "all",
+        "--sim-mode", "exhaustive", "--k0-max", "2", "--emit-matrices", "--format", fmt,
+    )
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    outdir = tmp_path / "reports"
+    code, wrote, err = _run(capsys, *argv, "--output-dir", str(outdir))
+    assert code == 0, err
+    sections, files = [], []
+    for name in METHOD_ORDER:
+        files.append(f"{name}.{fmt}")
+        section = f"# {name}\n" + (outdir / files[-1]).read_text(encoding="utf-8")
+        if name in POLICY_METHODS:
+            files.append(f"{name}.matrix.csv")
+            section += f"# {name} matrix\n" + (outdir / files[-1]).read_text(encoding="utf-8")
+        sections.append(section)
+    assert out == "\n".join(sections)
+    assert wrote == "".join(f"wrote {outdir / name}\n" for name in files)
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(files)

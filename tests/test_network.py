@@ -10,9 +10,12 @@ from lricnet import (
     AttributeShare,
     ExposureNetwork,
     OutShareQuota,
+    SimulationPlan,
     in_strength,
     ingest_edges,
     kbi,
+    lric_paths_vector,
+    lric_sim_vector,
     net_mutual_exposures,
     node_sort_key,
     normalize_by_attribute,
@@ -56,6 +59,41 @@ def test_network_rejects_non_finite_weight(w):
 def test_ingest_rejects_duplicates_summing_to_infinity():
     with pytest.raises(ValueError, match=r"'a'->'b' sum to a non-finite value"):
         ingest_edges([("a", "b", 1e308), ("a", "b", 1e308)])
+
+
+# three nets whose weights are finite but whose sums are not: a's lending,
+# b's borrowing, and only the total lending of all lenders
+LENDING_OVERFLOW = [("a", "b", 1e308), ("a", "c", 1e308)]
+BORROWING_OVERFLOW = [("a", "b", 1e308), ("c", "b", 1e308)]
+TOTAL_OVERFLOW = [("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)]
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (LENDING_OVERFLOW, "loans of 'a' sum to a non-finite value"),
+        (BORROWING_OVERFLOW, "loans to 'b' sum to a non-finite value"),
+    ],
+)
+def test_strengths_that_overflow_name_the_node(edges, message):
+    with pytest.raises(ValueError, match=message):
+        ingest_edges(edges)
+    with pytest.raises(ValueError, match=message):
+        ExposureNetwork(nodes=("a", "b", "c"), edges={(a, b): w for a, b, w in edges})
+
+
+def test_total_lending_that_overflows_is_a_value_error():
+    net = ingest_edges(TOTAL_OVERFLOW)
+    assert net.out_strengths == {"a": 1e308, "b": 1e308, "c": 1e308, "d": 0.0}
+    policy = OutShareQuota(0.25)
+    plan = SimulationPlan(mode="exhaustive", k0_max=1)
+    for scores in (
+        lambda: kbi(net, policy),
+        lambda: lric_paths_vector(net, policy, "maxpath"),
+        lambda: lric_sim_vector(net, policy, plan),
+    ):
+        with pytest.raises(ValueError, match="the loans of all lenders sum to a non-finite value"):
+            scores()
 
 
 def test_ingest_rejects_self_loop():
