@@ -14,11 +14,11 @@ Conventions here are pinned to reproduce the reference result tables:
 * PageRank is the weighted directed walk with uniform dangling
   redistribution.
 
-Every measure works on the network's own views (strengths, edges, borrower
-lists) or on adjacency lists built from them, in plain Python.  The sums of
-each eigenvector and PageRank step and each closeness total are exact and
-rounded once (``math.fsum``), so the scores do not depend on the order of
-the nodes.
+Every measure works, in plain Python, on the network's own views: its
+strengths and the lender and borrower lists built with it.  Sums are exact
+and rounded once, so no score depends on the order of the nodes.
+Closeness, betweenness and eigenvector run on loans scaled by one power of
+two, picked before anything is summed (:func:`_scaled`), so none overflows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import heapq
 import math
 from typing import NamedTuple
 
-from .network import ExposureNetwork, _tuple_eq, _tuple_ne
+from .network import ExposureNetwork, _fsum, _tuple_eq, _tuple_ne
 
 
 class CentralityTable(NamedTuple):
@@ -46,27 +46,45 @@ class CentralityTable(NamedTuple):
     __eq__, __ne__ = _tuple_eq, _tuple_ne
 
 
-def degree_measures(net: ExposureNetwork) -> tuple[dict, dict, dict, dict]:
-    """(in-strength, out-strength, out minus in, in plus out) per node."""
+def _degrees(net: ExposureNetwork) -> tuple[dict, dict, dict]:
+    """(in-strength, out-strength, out minus in) per node."""
     win = {v: net.in_strengths[v] for v in net.nodes}
     wout = {v: net.out_strengths[v] for v in net.nodes}
-    return (
-        win,
-        wout,
-        {v: wout[v] - win[v] for v in net.nodes},
-        {v: wout[v] + win[v] for v in net.nodes},
-    )
+    return win, wout, {v: wout[v] - win[v] for v in net.nodes}
 
 
-def _dijkstra(adj: dict[int, list[tuple[int, float]]], source: int, n: int) -> list[float]:
-    dist = [float("inf")] * n
+def degree_measures(net: ExposureNetwork) -> tuple[dict, dict, dict, dict]:
+    """(in-strength, out-strength, out minus in, in plus out) per node; an
+    in plus out past the largest float raises ValueError naming the node."""
+    win, wout, wdiff = _degrees(net)
+    return win, wout, wdiff, {v: _fsum((wout[v], win[v]), "loans of and to", v) for v in win}
+
+
+def _scaled(net: ExposureNetwork, lists: list) -> tuple[list[list[tuple[int, float]]], float]:
+    """`lists`, (position, loan) lists of `net`, with every loan times the
+    scale, and the scale: the power of two that brings the sum of all loans
+    to at most half the largest float, or 1.0 (and `lists`) when it is.
+    Short of the subnormal range, scaled loans make the same comparisons,
+    and their sums unscale to the same floats."""
+    shift = math.frexp(max(net.out_strengths.values(), default=0.0))[1]
+    # every term is below 1 after the shift, so this sum cannot overflow
+    total = math.fsum([math.ldexp(s, -shift) for s in net.out_strengths.values()])
+    excess = math.frexp(total)[1] + shift - 1023  # all loans sum below 2**(1023 + excess)
+    if excess <= 0:
+        return lists, 1.0
+    scale = math.ldexp(1.0, -excess)
+    return [[(j, w * scale) for j, w in loans] for loans in lists], scale
+
+
+def _dijkstra(adj: list[list[tuple[int, float]]], source: int) -> list[float]:
+    dist = [math.inf] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, w in adj.get(u, []):
+        for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
@@ -80,24 +98,21 @@ def closeness(net: ExposureNetwork, direction: str = "out") -> dict[str, float]:
     direction "out" follows edges, "in" walks them backwards.  Unreachable
     pairs contribute the vertex count; a graph with a single node gets 0.
     The distance total is exact and rounded once, so it does not depend on
-    the order of the nodes.
+    the order of the nodes.  A distance or a total past the largest float
+    raises ValueError naming the node.
     """
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    nodes, index = list(net.nodes), net.index
-    n = len(nodes)
+    nodes, n = net.nodes, len(net.nodes)
     if n <= 1:
         return {v: 0.0 for v in nodes}
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for (src, dst), w in net.edges.items():
-        i, j = index[src], index[dst]
-        if direction == "in":
-            i, j = j, i
-        adj.setdefault(i, []).append((j, w))
+    adj, scale = _scaled(net, net._out if direction == "out" else net._in)
+    what = "distances from" if direction == "out" else "distances to"
     result = {}
     for i, v in enumerate(nodes):
-        dist = _dijkstra(adj, i, n)
-        total = math.fsum([d if d != math.inf else float(n) for k, d in enumerate(dist) if k != i])
+        # a scaled distance is inf only when unreachable; unscaled, one past
+        # the largest float is inf, and so is the total.  dist[i] adds 0.0
+        total = _fsum([d / scale if d < math.inf else n for d in _dijkstra(adj, i)], what, v)
         result[v] = 1.0 / total if total > 0 else 0.0
     return result
 
@@ -113,23 +128,24 @@ def betweenness(net: ExposureNetwork) -> dict[str, float]:
     One pass per source over its BFS DAG (Brandes, J. Math. Sociol. 25(2),
     2001) lists no path.  Credits are kept as exact integers over a common
     denominator and rounded once, so each score is the correctly rounded
-    exact sum and nodes whose sums tie exactly get the same float.
+    exact sum and nodes whose sums tie exactly get the same float.  Path
+    weights are compared on scaled loans, so they never overflow to a tie.
     """
-    edges = net.edges
-    num = dict.fromkeys(net.nodes, 0)  # exact scores are num[v] / den
+    out = _scaled(net, net._out)[0]
+    num = [0] * len(out)  # exact scores are num[v] / den
     den = 1
-    for s in net.nodes:
+    for s in range(len(out)):
         level, best, sigma, preds = {s: 0}, {s: 0.0}, {s: 1}, {s: []}
         order = [s]
         for u in order:  # BFS: the loop visits nodes as they are appended
             hop, prefix = level[u] + 1, best[u]
-            for v in net.borrowers_of(u):
+            for v, w in out[u]:
+                total = prefix + w
                 if v not in level:
                     level[v] = hop
                     order.append(v)
-                    best[v], sigma[v], preds[v] = prefix + edges[u, v], sigma[u], [u]
+                    best[v], sigma[v], preds[v] = total, sigma[u], [u]
                 elif level[v] == hop:
-                    total = prefix + edges[u, v]
                     if total > best[v]:
                         best[v], sigma[v], preds[v] = total, sigma[u], [u]
                     elif total == best[v]:
@@ -140,15 +156,15 @@ def betweenness(net: ExposureNetwork) -> dict[str, float]:
         grow = math.lcm(den, d) // den
         if grow > 1:
             den *= grow
-            num = {v: x * grow for v, x in num.items()}
-        scale = den // d
+            num = [x * grow for x in num]
+        unit = den // d
         g = dict.fromkeys(order, 0)
         for v in reversed(order[1:]):
             share = d // sigma[v] + g[v]
             for u in preds[v]:
                 g[u] += share
-            num[v] += sigma[v] * g[v] * scale
-    return {v: num[v] / den for v in net.nodes}
+            num[v] += sigma[v] * g[v] * unit
+    return {v: x / den for v, x in zip(net.nodes, num)}
 
 
 def eigenvector(
@@ -160,26 +176,20 @@ def eigenvector(
     and raises every eigenvalue by 1, so no eigenvalue of opposite sign
     matches the leading one in magnitude.  Without it, bipartite graphs,
     whose spectrum is symmetric about 0, make the iteration oscillate.
-    Each entry of a step is the exact sum of its products, rounded once.
-    A net with no edge scores 0.0 for every node.
+    Each entry of a step is the exact sum of its products, rounded once, on
+    the matrix scaled by :func:`_scaled`.  A net with no edge scores 0.0.
     """
     if not net.edges:
         return {v: 0.0 for v in net.nodes}
-    nodes, index = net.nodes, net.index
-    # the nonzero entries of each row of A + Aᵀ + I
-    sym: list[dict[int, float]] = [{i: 1.0} for i in range(len(nodes))]
-    for (src, dst), w in net.edges.items():
-        i, j = index[src], index[dst]
-        sym[i][j] = sym[i].get(j, 0.0) + w
-        sym[j][i] = sym[j].get(i, 0.0) + w
+    out, scale = _scaled(net, net._out)
+    # the nonzero entries of each row of A + Aᵀ + I, scaled
+    sym: list[dict[int, float]] = [{i: scale} for i in range(len(out))]
+    for i, loans in enumerate(out):
+        for j, w in loans:
+            sym[i][j] = sym[i].get(j, 0.0) + w
+            sym[j][i] = sym[j].get(i, 0.0) + w
     rows = [list(entries.items()) for entries in sym]
-    top = max(s for row in rows for _, s in row)
-    if math.isinf(top * len(nodes)):
-        # a step's sums could overflow; scaling every entry by one power of
-        # two is exact, so the iteration stays the same
-        scale = 2.0 ** -math.frexp(top)[1]
-        rows = [[(j, s * scale) for j, s in row] for row in rows]
-    v = [1.0] * len(nodes)
+    v = [1.0] * len(out)
     residual = math.inf
     for _ in range(max_iter):
         nv = [math.fsum([s * v[j] for j, s in row]) for row in rows]
@@ -190,7 +200,7 @@ def eigenvector(
         residual = max([abs(x - y) for x, y in zip(nv, v)])
         if residual < tol:
             top = max(nv)
-            return {node: x / top for node, x in zip(nodes, nv)}
+            return {node: x / top for node, x in zip(net.nodes, nv)}
         v = nv
     raise ValueError(f"eigenvector iteration did not converge (residual {residual:.3e})")
 
@@ -204,16 +214,12 @@ def pagerank(
     """
     if not 0 < damping < 1:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    nodes, index = net.nodes, net.index
-    n = len(nodes)
+    nodes, n = net.nodes, len(net.nodes)
     if n == 0:
         return {}
     strength = [net.out_strengths[v] for v in nodes]
     # per borrower, its lenders and the share of their lending it holds
-    inflow: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for (src, dst), w in net.edges.items():
-        i = index[src]
-        inflow[index[dst]].append((i, w / strength[i]))
+    inflow = [[(i, w / strength[i]) for i, w in loans] for loans in net._in]
     dangling = [i for i, total in enumerate(strength) if total == 0]
     teleport = (1 - damping) / n
     v = [1.0 / n] * n

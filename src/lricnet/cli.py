@@ -24,7 +24,7 @@ import os
 import sys
 from collections.abc import Callable, Mapping, Sequence
 
-from .centrality import betweenness, closeness, degree_measures, eigenvector, pagerank
+from .centrality import _degrees, betweenness, closeness, degree_measures, eigenvector, pagerank
 from .groups import _lender_passes, _LenderPass
 from .kbi import _kbi_rows, kbi_from_rows, kbi_matrix
 from .network import (
@@ -67,9 +67,9 @@ from .simulation import (
 
 # per classical method, its scores of a network under the merged settings
 _CLASSICAL: dict[str, Callable[[ExposureNetwork, dict], dict[str, float]]] = {
-    "in-degree": lambda net, _: degree_measures(net)[0],
-    "out-degree": lambda net, _: degree_measures(net)[1],
-    "degree-difference": lambda net, _: degree_measures(net)[2],
+    "in-degree": lambda net, _: _degrees(net)[0],
+    "out-degree": lambda net, _: _degrees(net)[1],
+    "degree-difference": lambda net, _: _degrees(net)[2],
     "degree": lambda net, _: degree_measures(net)[3],
     "closeness-in": lambda net, _: closeness(net, "in"),
     "closeness-out": lambda net, _: closeness(net, "out"),

@@ -81,13 +81,17 @@ def _tuple_ne(self: tuple, other: object) -> bool:
 
 
 def _fsum(values: Iterable[float], what: str, node: str | None = None) -> float:
-    """``math.fsum(values)``; a sum past the largest float raises ValueError
-    naming `what` (and `node`), not OverflowError."""
+    """``math.fsum(values)``; a sum past the largest float, or one with an
+    infinite term, raises ValueError naming `what` (and `node`), not
+    OverflowError."""
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except OverflowError:
-        named = what if node is None else f"{what} {node!r}"
-        raise ValueError(f"{named} sum to a non-finite value") from None
+        total = math.inf
+    if total < math.inf:
+        return total
+    named = what if node is None else f"{what} {node!r}"
+    raise ValueError(f"{named} sum to a non-finite value")
 
 
 class ExposureNetwork(_Record):
@@ -107,17 +111,18 @@ class ExposureNetwork(_Record):
         are nonnegative; a node absent from the inner map has no value for
         that attribute.
 
-    Built once with the network, and left out of equality and repr:
-    ``index`` maps each node to its position in ``nodes``,
-    ``out_strengths`` / ``in_strengths`` hold each node's total lending and
-    borrowing, summed exactly and rounded once (``math.fsum``), so they do
-    not depend on the order of ``edges``, and each lender's borrowers are
-    sorted for :meth:`borrowers_of`.  A total past the largest float raises
-    ValueError naming the node.
+    Built once with the network, and left out of equality and repr: ``index``
+    maps each node to its position k in ``nodes``; ``_out[k]`` / ``_in[k]``
+    list its (borrower position, loan) / (lender position, loan) pairs;
+    ``out_strengths`` / ``in_strengths`` hold its total lending / borrowing,
+    summed exactly and rounded once (``math.fsum``), so they do not depend
+    on the order of ``edges``; and each lender's borrowers are sorted for
+    :meth:`borrowers_of`.  A total past the largest float raises ValueError
+    naming the node.
     """
 
     _fields = ("nodes", "edges", "attributes")
-    __slots__ = (*_fields, "index", "out_strengths", "in_strengths", "_borrowers")
+    __slots__ = (*_fields, "index", "_out", "_in", "out_strengths", "in_strengths", "_borrowers")
 
     def __init__(
         self,
@@ -125,8 +130,9 @@ class ExposureNetwork(_Record):
         edges: dict[tuple[str, str], float],
         attributes: dict[str, dict[str, float]] | None = None,
     ) -> None:
-        borrowers: dict[str, list[str]] = {v: [] for v in nodes}
-        lenders: dict[str, list[str]] = {v: [] for v in nodes}
+        index = {v: k for k, v in enumerate(nodes)}
+        out: list[list[tuple[int, float]]] = [[] for _ in nodes]
+        into: list[list[tuple[int, float]]] = [[] for _ in nodes]
         for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
@@ -134,19 +140,21 @@ class ExposureNetwork(_Record):
                 raise ValueError(f"non-finite weight on edge {a!r}->{b!r}: {w}")
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge {a!r}->{b!r}: {w}")
-            if a not in borrowers or b not in borrowers:
+            if a not in index or b not in index:
                 raise ValueError(f"edge {a!r}->{b!r} references unknown node")
-            borrowers[a].append(b)
-            lenders[b].append(a)
-        outs = {a: _fsum([edges[a, b] for b in bs], "loans of", a) for a, bs in borrowers.items()}
-        ins = {b: _fsum([edges[a, b] for a in ls], "loans to", b) for b, ls in lenders.items()}
-        ordered = {a: tuple(sorted(bs, key=node_sort_key)) for a, bs in borrowers.items()}
+            out[index[a]].append((index[b], w))
+            into[index[b]].append((index[a], w))
+        outs = {v: _fsum([w for _, w in ls], "loans of", v) for v, ls in zip(nodes, out)}
+        ins = {v: _fsum([w for _, w in ls], "loans to", v) for v, ls in zip(nodes, into)}
+        names = [sorted([nodes[j] for j, _ in ls], key=node_sort_key) for ls in out]
         self._assign(nodes, edges, {} if attributes is None else attributes)
         view = object.__setattr__
-        view(self, "index", {v: k for k, v in enumerate(nodes)})
+        view(self, "index", index)
+        view(self, "_out", out)
+        view(self, "_in", into)
         view(self, "out_strengths", outs)
         view(self, "in_strengths", ins)
-        view(self, "_borrowers", ordered)
+        view(self, "_borrowers", {v: tuple(bs) for v, bs in zip(nodes, names)})
 
     def weight(self, lender: str, borrower: str) -> float:
         """Exposure of `lender` to `borrower`; 0.0 when there is no edge."""

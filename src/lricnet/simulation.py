@@ -105,14 +105,12 @@ def share_matrix(net: ExposureNetwork, policy: ThresholdPolicy) -> InfluenceMatr
 
 def _share_rows(net: ExposureNetwork, policy: ThresholdPolicy) -> list[list[float]]:
     """The share matrix over ``net.nodes``, as a list of rows."""
-    n, index = len(net.nodes), net.index
-    rows = [[0.0] * n for _ in range(n)]
-    quotas = {v: threshold(net, policy, v) for v in net.nodes}
-    for (lender, borrower), w in net.edges.items():
-        q = quotas[lender]
-        if q is None:
-            continue
-        rows[index[lender]][index[borrower]] = 1.0 if w >= _floor(q) else w / q
+    rows = [[0.0] * len(net.nodes) for _ in net.nodes]
+    for v, row, loans in zip(net.nodes, rows, net._out):
+        if loans:  # a lender, so its threshold is a positive float
+            q = threshold(net, policy, v)
+            for j, w in loans:
+                row[j] = 1.0 if w >= _floor(q) else w / q
     return rows
 
 
@@ -567,8 +565,6 @@ def _simulate_rows(
     solo = [engine.solo(j) for j in range(n)]
     # per node j, the other nodes that j's solo cascade sinks
     sinks = [alone & ~(1 << j) for j, alone in enumerate(solo)]
-    # runs per (seed j, the lenders j reached outside its solo cascade)
-    reaches: dict[tuple[int, int], int] = {}
     runs = settled = 0
     for mask, seeds in _seed_sets(plan, net.nodes):
         runs += 1
@@ -583,22 +579,11 @@ def _simulate_rows(
         if not mask & ~sunk:
             settled += 1
             continue
+        # the lenders j reached outside its solo cascade
         for j, seen in engine.reach(mask)[1].items():
-            seen &= ~solo[j]
-            if seen:
-                key = (j, seen)
-                reaches[key] = reaches.get(key, 0) + 1
-    for (j, seen), count in reaches.items():
-        row = credits[j]
-        for i in _members(seen):
-            row[i] += count
-    # The engine refuses negative shares, so a run seeding j defaults all of
-    # solo[j]: j's solo channel credits each i of it in every run seeding j
-    # but not i.
-    for j, victims in enumerate(sinks):
-        row, seeded = credits[j], together[j]
-        for i in _members(victims):
-            row[i] += seeded[j] - seeded[i]
+            row = credits[j]
+            for i in _members(seen & ~solo[j]):
+                row[i] += 1
     _debug(
         __name__,
         "simulated %d runs on %d nodes: %d runs settled by solo witnesses alone, "
@@ -610,14 +595,15 @@ def _simulate_rows(
         engine.fixpoint_hits, engine.solo_witnesses, len(engine._support),
         engine.support_hits, engine.graphs_built, engine.graphs_reused,
     )
-    # frequencies over the runs seeding j without i, NaN where there is none
+    # frequencies over the runs seeding j without i, NaN where there is none.
+    # The engine refuses negative shares, so a run seeding j defaults all of
+    # solo[j]: j's solo channel credits every i of sinks[j] in each such run.
     values = [[math.nan] * n for _ in range(n)]
-    for j, seeded in enumerate(together):
-        row = credits[j]
+    for j, (seeded, row, victims) in enumerate(zip(together, credits, sinks)):
         for i in range(n):
             runs_without = seeded[j] - seeded[i]
             if runs_without:
-                values[i][j] = row[i] / runs_without
+                values[i][j] = (row[i] + (runs_without if victims >> i & 1 else 0)) / runs_without
         values[j][j] = 0.0
     return values
 

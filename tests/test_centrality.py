@@ -7,8 +7,10 @@ with uniform dangling mass).  Betweenness is also checked against a
 reference that lists every fewest-hop path and sums exact fractions.
 """
 
+import heapq
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from lricnet import (
     ingest_edges,
     pagerank,
 )
+from lricnet.centrality import _scaled
 from lricnet.cli import emit_report
 
 EX1_BETWEENNESS = [0, 1, 0, 3, 5, 0, 6, 0, 0, 0]
@@ -199,6 +202,150 @@ def test_eigenvector_of_weights_whose_row_sums_overflow():
     small = eigenvector(ingest_edges([(a, b, 1) for a, b in chain]))
     assert big == pytest.approx(small, abs=1e-9)
     assert big["b"] == big["c"] == 1.0
+
+
+# s->t runs through a and c (8 + 8 + 8) or b and d (7 + 8 + 8)
+TWO_ROUTES = [("s", "a", 8), ("s", "b", 7), ("a", "c", 8), ("b", "d", 8), ("c", "t", 8),
+              ("d", "t", 8)]
+# the same over five hops: times 2**1019, every lending and borrowing is
+# finite, but both s->t weights (40 and 39 times it) overflow
+LONG_ROUTES = [
+    *[(f"a{k}", f"a{k + 1}", 8) for k in range(3)], ("s", "a0", 8), ("a3", "t", 8),
+    *[(f"b{k}", f"b{k + 1}", 8) for k in range(3)], ("s", "b0", 7), ("b3", "t", 8),
+]
+
+
+def _ring_nets():
+    """Seeded nets on an odd ring, some with mutual pairs: connected and not
+    bipartite once symmetrized, so the eigenvector iteration converges at
+    any scale; with integer or float weights."""
+    rng = random.Random(20261022)
+    for k in range(40):
+        n = rng.choice([3, 5, 7, 9])
+        edges = {(str(a), str((a + 1) % n)): 1 for a in range(n)}
+        edges.update({(str(a), str(b)): 1 for a in range(n) for b in range(n)
+                      if a != b and rng.random() < 0.3})
+        yield ingest_edges([
+            (a, b, rng.randint(1, 9) if k % 2 else rng.uniform(0.01, 100.0)) for a, b in edges
+        ])
+
+
+def _powers_of_two(net):
+    """Exponents from 1 to the largest that keeps every node's lending and
+    borrowing finite."""
+    top = max([*net.out_strengths.values(), *net.in_strengths.values()])
+    last = 1024 - math.frexp(top)[1]
+    return [1, 64, last - 64, last - 1, last]
+
+
+def _times(net, k):
+    return ingest_edges([(a, b, math.ldexp(w, k)) for (a, b), w in net.edges.items()])
+
+
+def test_betweenness_does_not_change_under_powers_of_two():
+    assert 1019 in _powers_of_two(ingest_edges(LONG_ROUTES))
+    for net in [ingest_edges(TWO_ROUTES), ingest_edges(LONG_ROUTES), *_ring_nets()]:
+        scores = betweenness(net)
+        for k in _powers_of_two(net):
+            assert betweenness(_times(net, k)) == scores, k
+
+
+def test_eigenvector_under_powers_of_two_matches_scale_one():
+    # the shift I does not grow with the loans, so the iteration stops at
+    # another step, within its tolerance of the same vector
+    for net in [ingest_edges(TWO_ROUTES), *_ring_nets()]:
+        scores = eigenvector(net)
+        for k in _powers_of_two(net):
+            assert eigenvector(_times(net, k)) == pytest.approx(scores, abs=1e-9), k
+    pair = ingest_edges([("a", "b", 1), ("b", "a", 1)])
+    for k in _powers_of_two(pair):
+        assert eigenvector(_times(pair, k)) == eigenvector(pair) == {"a": 1.0, "b": 1.0}
+
+
+def test_the_scale_brings_all_loans_to_half_the_largest_float():
+    half = sys.float_info.max / 2
+    above = math.nextafter(half, math.inf)
+    for loans, scale in [
+        ([("a", "b", 1.0)], 1.0),
+        ([("a", "b", half)], 1.0),
+        ([("a", "b", half / 2), ("c", "d", half / 2)], 1.0),
+        ([("a", "b", above)], 0.5),
+        ([("a", "b", half), ("c", "d", 1e300)], 0.5),
+        ([("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)], 0.25),
+    ]:
+        net = ingest_edges(loans)
+        lists, got = _scaled(net, net._out)
+        assert got == scale, loans
+        assert (lists is net._out) == (scale == 1.0)
+        assert [[(j, w / scale) for j, w in ls] for ls in lists] == net._out
+        assert math.fsum([w for ls in lists for _, w in ls]) <= half
+
+
+def test_scores_past_the_largest_float_are_those_at_scale_one():
+    # both s->t weights used to overflow to inf and tie; a mutual pair used
+    # to sum to an infinite matrix entry
+    big = [(a, b, w * 1e307) for a, b, w in TWO_ROUTES]
+    assert betweenness(ingest_edges(big)) == {
+        "a": 2.0, "b": 1.0, "c": 2.0, "d": 1.0, "s": 0.0, "t": 0.0
+    }
+    pair = ingest_edges([("a", "b", 1e308), ("b", "a", 1e308)])
+    assert eigenvector(pair) == {"a": 1.0, "b": 1.0}
+
+
+def _plain_closeness(net, direction):
+    """Closeness on the loans as they are, the way it was computed before
+    loans were scaled; right wherever no distance total overflows."""
+    nodes, index, n = net.nodes, net.index, len(net.nodes)
+    adj = {}
+    for (src, dst), w in net.edges.items():
+        i, j = (index[src], index[dst]) if direction == "out" else (index[dst], index[src])
+        adj.setdefault(i, []).append((j, w))
+    result = {}
+    for i, v in enumerate(nodes):
+        dist = [math.inf] * n
+        dist[i] = 0.0
+        heap = [(0.0, i)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d <= dist[u]:
+                for x, w in adj.get(u, []):
+                    if d + w < dist[x]:
+                        dist[x] = d + w
+                        heapq.heappush(heap, (d + w, x))
+        total = math.fsum([d if d != math.inf else n for k, d in enumerate(dist) if k != i])
+        result[v] = 1.0 / total
+    return result
+
+
+def test_closeness_of_loans_scaled_below_the_largest_float():
+    # each star's loans sum to more than half the largest float, so they
+    # are scaled, but no distance total overflows
+    rng = random.Random(20261023)
+    for _ in range(50):
+        shares = [rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 6))]
+        loans = [("hub", f"b{k}", 1.2e308 * x / sum(shares)) for k, x in enumerate(shares)]
+        net = ingest_edges([*loans, ("c", "d", 1.0)])
+        assert math.fsum(net.out_strengths.values()) > 8.99e307
+        for direction in ("out", "in"):
+            assert closeness(net, direction) == _plain_closeness(net, direction)
+
+
+@pytest.mark.parametrize("edges, direction, message", [
+    ([("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)], "out", "distances from 'a'"),
+    ([("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)], "in", "distances to 'c'"),
+    ([(a, b, w * 1e307) for a, b, w in TWO_ROUTES], "out", "distances from 'a'"),
+    ([(a, b, w * 1e307) for a, b, w in TWO_ROUTES], "in", "distances to 'c'"),
+])
+def test_closeness_past_the_largest_float_names_the_node(edges, direction, message):
+    # on the chain a's distance to c overflows; on the two routes only totals do
+    with pytest.raises(ValueError, match=f"^{message} sum to a non-finite value$"):
+        closeness(ingest_edges(edges), direction)
+
+
+def test_total_degree_past_the_largest_float_names_the_node():
+    chain = ingest_edges([("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)])
+    with pytest.raises(ValueError, match="^loans of and to 'b' sum to a non-finite value$"):
+        degree_measures(chain)
 
 
 def test_eigenvector_scores_an_edgeless_net_zero():

@@ -1165,7 +1165,8 @@ def test_python_dash_m_runs_the_cli(ex1_csv, module):
 
 
 # finite weights whose sums are not: a's lending, b's borrowing, and only
-# the total lending of all lenders
+# the total lending of all lenders; on "total" also b's lending plus
+# borrowing, and (as on "paths") the distances from a and to c
 OVERFLOWS = {
     "lending": ([("a", "b", 1e308), ("a", "c", 1e308)], "loans of 'a'"),
     "borrowing": ([("a", "b", 1e308), ("c", "b", 1e308)], "loans to 'b'"),
@@ -1173,6 +1174,19 @@ OVERFLOWS = {
         [("a", "b", 1e308), ("b", "c", 1e308), ("c", "d", 1e308)],
         "the loans of all lenders",
     ),
+    "paths": (
+        [("s", "a", 8e307), ("s", "b", 7e307), ("a", "c", 8e307), ("b", "d", 8e307),
+         ("c", "t", 8e307), ("d", "t", 8e307)],
+        None,
+    ),
+}
+# the sums that methods adding lending and borrowing or distances refuse
+# first; `all` stops at degree, the first of them
+FIRST_REFUSED = {
+    "all": "loans of and to 'b'",
+    "degree": "loans of and to 'b'",
+    "closeness-out": "distances from 'a'",
+    "closeness-in": "distances to 'c'",
 }
 
 
@@ -1187,10 +1201,16 @@ OVERFLOWS = {
         ("total", ("compute", "--method", "maxpath")),
         ("total", ("compute", "--method", "sim")),
         ("total", ("compute", "--method", "all")),
+        ("total", ("compute", "--method", "degree")),
+        ("total", ("compute", "--method", "closeness-out")),
+        ("total", ("compute", "--method", "closeness-in")),
+        ("paths", ("compute", "--method", "closeness-out")),
+        ("paths", ("compute", "--method", "closeness-in")),
     ],
 )
 def test_sums_past_the_largest_float_end_in_one_error_line(tmp_path, shape, argv):
     edges, what = OVERFLOWS[shape]
+    what = FIRST_REFUSED.get(argv[-1], what)
     path = str(write_edges_csv(tmp_path / "edges.csv", edges))
     if argv[0] == "compute":
         argv = (*argv, "--q", "out-share:0.25", "--seed", "1", "--runs", "50")
@@ -1202,6 +1222,22 @@ def test_sums_past_the_largest_float_end_in_one_error_line(tmp_path, shape, argv
     assert b"Traceback" not in child.stderr
     assert child.stderr.decode() == f"error: {what} sum to a non-finite value\n"
     assert child.returncode == 2 and child.stdout == b""
+
+
+def test_degrees_that_do_not_add_lending_and_borrowing_score_the_chain(capsys, tmp_path):
+    edges, _ = OVERFLOWS["total"]
+    path = str(write_edges_csv(tmp_path / "edges.csv", edges))
+    code, out, err = _run(
+        capsys, "compute", "--edges", path, "--method", "in-degree,out-degree,degree-difference"
+    )
+    assert code == 0 and err == ""
+    big = f"{1e308:.6f}"
+    assert out.split("\n\n") == [
+        f"# in-degree\nnode,score,rank\nb,{big},1\nc,{big},1\nd,{big},1\na,0.000000,4",
+        f"# out-degree\nnode,score,rank\na,{big},1\nb,{big},1\nc,{big},1\nd,0.000000,4",
+        f"# degree-difference\nnode,score,rank\na,{big},1\nb,0.000000,2\nc,0.000000,2\n"
+        f"d,-{big},4\n",
+    ]
 
 
 # the path methods run after the others, each group in list order

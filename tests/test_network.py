@@ -96,6 +96,31 @@ def test_total_lending_that_overflows_is_a_value_error():
             scores()
 
 
+def test_position_lists_hold_each_nodes_edges():
+    # nodes sorted or shuffled, integer-like or other ids, integer or float
+    # weights: each node's lists are its entries of `edges`, in their order
+    rng = random.Random(20261021)
+    for k in range(240):
+        ids = rng.sample(range(1, 60), rng.randint(1, 10))
+        names = [f"x{v}" if k % 3 == 0 else str(v) for v in ids]
+        edges = {
+            (a, b): rng.randint(1, 100) if k % 2 else rng.uniform(0.01, 100.0)
+            for a in names
+            for b in names
+            if a != b and rng.random() < 0.35
+        }
+        nodes = tuple(sorted(names, key=node_sort_key) if k % 4 < 2 else names)
+        net = ExposureNetwork(nodes=nodes, edges=edges)
+        at = {v: i for i, v in enumerate(nodes)}
+        assert len(net._out) == len(net._in) == len(nodes)
+        for v in nodes:
+            assert net._out[at[v]] == [(at[b], w) for (a, b), w in edges.items() if a == v]
+            assert net._in[at[v]] == [(at[a], w) for (a, b), w in edges.items() if b == v]
+            lent = [b for a, b in edges if a == v]
+            assert net.borrowers_of(v) == tuple(sorted(lent, key=node_sort_key))
+            assert net.out_strengths[v] == math.fsum([edges[v, b] for b in lent])
+
+
 def test_ingest_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         ingest_edges([("a", "a", 1)])
