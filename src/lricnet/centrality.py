@@ -172,29 +172,32 @@ def eigenvector(
 ) -> dict[str, float]:
     """Principal eigenvector of the symmetrized weights, scaled to max 1.
 
-    Power iteration runs on A + Aᵀ + I.  The shift keeps the eigenvectors
-    and raises every eigenvalue by 1, so no eigenvalue of opposite sign
-    matches the leading one in magnitude.  Without it, bipartite graphs,
-    whose spectrum is symmetric about 0, make the iteration oscillate.
-    Each entry of a step is the exact sum of its products, rounded once, on
-    the matrix scaled by :func:`_scaled`.  A net with no edge scores 0.0.
+    Power iteration runs on A + Aᵀ + cI, c a sixteenth of the largest row
+    sum of A + Aᵀ.  The shift keeps the eigenvectors and raises every
+    eigenvalue by c, so no eigenvalue of opposite sign matches the leading
+    one in magnitude.  Without it, bipartite graphs, whose spectrum is
+    symmetric about 0, make the iteration oscillate; and as c grows with
+    the loans, the iteration does not depend on their scale.  Each entry of
+    a step is the exact sum of its products, rounded once, on the matrix
+    scaled by :func:`_scaled`.  A net with no edge scores 0.0.
     """
     if not net.edges:
         return {v: 0.0 for v in net.nodes}
-    out, scale = _scaled(net, net._out)
-    # the nonzero entries of each row of A + Aᵀ + I, scaled
-    sym: list[dict[int, float]] = [{i: scale} for i in range(len(out))]
+    out, _ = _scaled(net, net._out)
+    # the nonzero entries of each row of A + Aᵀ, scaled
+    sym: list[dict[int, float]] = [{} for _ in out]
     for i, loans in enumerate(out):
         for j, w in loans:
             sym[i][j] = sym[i].get(j, 0.0) + w
             sym[j][i] = sym[j].get(i, 0.0) + w
-    rows = [list(entries.items()) for entries in sym]
+    shift = max([math.fsum(entries.values()) for entries in sym]) / 16
+    rows = [[(i, shift), *entries.items()] for i, entries in enumerate(sym)]
     v = [1.0] * len(out)
     residual = math.inf
     for _ in range(max_iter):
         nv = [math.fsum([s * v[j] for j, s in row]) for row in rows]
-        # the shift keeps every step at least as large as the last, so the
-        # max-norm never falls below 1
+        # the shift keeps every step at least c times the last, so the
+        # max-norm is positive
         norm = max(map(abs, nv))
         nv = [x / norm for x in nv]
         residual = max([abs(x - y) for x, y in zip(nv, v)])

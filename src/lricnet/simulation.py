@@ -119,12 +119,11 @@ class _CascadeEngine:
     memoization.
 
     Every node set is an int bitmask: bit k stands for node k.  A cascade
-    stage looks only at the surviving lenders of the nodes that defaulted
-    in the stage before (the frontier); no other lender's loss can have
-    grown.  Whether a loss reaches 1 is decided exactly: each lender's
-    shares are exact ints over one denominator
+    keeps each surviving lender's loss and adds each new default's share
+    to it once, in the stage after that default.  The loss is exact: each
+    lender's shares are exact ints over one denominator
     (:func:`lricnet.groups._exact`, computed once), and a loss reaches 1
-    when their int sum reaches the lender's `need`.
+    when its int sum reaches the lender's `need`.
 
     Every share must be positive: the engine refuses a NaN, infinite or
     negative one when it is built, naming the lender and the borrower.  So
@@ -160,11 +159,11 @@ class _CascadeEngine:
         self._nodes = [str(k) for k in range(n)] if nodes is None else nodes
         # per lender, its (borrower bit, exact share) pairs in index order,
         # the least int loss that reaches 1 and the mask of its borrowers;
-        # per borrower, the mask of its lenders
+        # per borrower, its (lender, exact share) pairs
         self._shares: list[list[tuple[int, int]]] = []
         self._needs: list[int] = []
         self._borrowers: list[int] = []
-        self._lenders = [0] * n
+        self._lent: list[list[tuple[int, int]]] = [[] for _ in rows]
         for i, row in enumerate(rows):
             borrowers = [k for k, share in enumerate(row) if share]
             for k in borrowers:
@@ -175,8 +174,9 @@ class _CascadeEngine:
                         f"share of {self._nodes[k]!r} in {self._nodes[i]!r} "
                         f"is {fault}: {share}"
                     )
-                self._lenders[k] |= 1 << i
             denominator, shares = _exact([row[k] for k in borrowers])
+            for k, share in zip(borrowers, shares):
+                self._lent[k].append((i, share))
             self._shares.append([(1 << k, share) for k, share in zip(borrowers, shares)])
             self._needs.append(_need(_floor(1.0), denominator))
             self._borrowers.append(_mask(borrowers))
@@ -194,29 +194,20 @@ class _CascadeEngine:
         self.graphs_built = 0
         self.graphs_reused = 0
 
-    def _fresh(self, d: int, frontier: int) -> int:
-        """The surviving lenders of `frontier` whose defaulted shares reach 1."""
-        lenders = self._lenders
-        candidates = 0
-        while frontier:
-            low = frontier & -frontier
-            candidates |= lenders[low.bit_length() - 1]
-            frontier ^= low
-        candidates &= ~d
-        fresh = 0
-        while candidates:
-            low = candidates & -candidates
-            i = low.bit_length() - 1
-            if sum([share for bit, share in self._shares[i] if d & bit]) >= self._needs[i]:
-                fresh |= low
-            candidates ^= low
-        return fresh
-
     def stages(self, initial: int) -> list[int]:
+        """The waves of new defaults from `initial`, as bitmasks."""
+        lent, needs = self._lent, self._needs
+        loss = [0] * self._n  # per lender, its defaulted borrowers' exact shares
         d = frontier = initial
         stages: list[int] = []
         while self.stage_limit is None or len(stages) < self.stage_limit:
-            fresh = self._fresh(d, frontier)
+            fresh = 0
+            for k in _members(frontier):
+                for i, share in lent[k]:
+                    if not d >> i & 1:  # a defaulted lender's loss stops counting
+                        loss[i] += share
+                        if loss[i] >= needs[i]:
+                            fresh |= 1 << i
             if not fresh:
                 break
             stages.append(fresh)

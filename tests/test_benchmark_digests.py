@@ -3,8 +3,9 @@
 Every variant of the gated workloads, and of ``classical-wide``, is run
 through ``cli.main`` in this process, and the SHA-256 of each ``# <section>``
 of its output must equal the one ``perfbench/digests.json`` records, as
-``perfbench/run.py`` checks it.  ``sim-exhaustive`` is left out: some of its
-recorded ``sim`` digests predate the exact ``sim`` sums and no longer match.
+``perfbench/run.py`` checks it.  Eight ``sim-exhaustive`` variants are
+expected to fail: their recorded ``sim`` digests predate the exact ``sim``
+sums, under which exactly tied scores share a rank.
 """
 
 import hashlib
@@ -20,7 +21,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # run from its source, so that no bytecode is written under perfbench/
 WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
-CHECKED = ("all-methods", "dense-lenders", "classical-wide")
+CHECKED = ("all-methods", "dense-lenders", "classical-wide", "sim-exhaustive")
+# variants whose recorded digests no longer match, by workload
+STALE = {"sim-exhaustive": {5, 7, 8, 9, 10, 12, 14, 15}}
 
 
 def _section_digests(report: bytes) -> dict[str, str]:
@@ -34,8 +37,21 @@ def _section_digests(report: bytes) -> dict[str, str]:
     return {k: hashlib.sha256(b"".join(v)).hexdigest() for k, v in sections.items()}
 
 
-@pytest.mark.parametrize("variant", range(WORKLOADS["VARIANTS"]))
-@pytest.mark.parametrize("name", CHECKED)
+@pytest.mark.parametrize(
+    "name, variant",
+    [
+        pytest.param(
+            name,
+            variant,
+            id=f"{name}-{variant}",
+            marks=pytest.mark.xfail(strict=True, reason="sim digest predates exact sums")
+            if variant in STALE.get(name, ())
+            else (),
+        )
+        for name in CHECKED
+        for variant in range(WORKLOADS["VARIANTS"])
+    ],
+)
 def test_compute_output_matches_the_recorded_digests(capsys, tmp_path, name, variant):
     workload = WORKLOADS["WORKLOADS"][name]
     edges = tmp_path / "edges.csv"

@@ -251,8 +251,6 @@ def test_betweenness_does_not_change_under_powers_of_two():
 
 
 def test_eigenvector_under_powers_of_two_matches_scale_one():
-    # the shift I does not grow with the loans, so the iteration stops at
-    # another step, within its tolerance of the same vector
     for net in [ingest_edges(TWO_ROUTES), *_ring_nets()]:
         scores = eigenvector(net)
         for k in _powers_of_two(net):
@@ -435,7 +433,7 @@ def _numpy_degree_measures(net):
 
 def _numpy_eigenvector(net, tol=1e-10, max_iter=100_000):
     nodes, a = _numpy_adjacency(net)
-    s = a + a.T + np.eye(len(nodes))
+    s = a + a.T + (a + a.T).sum(axis=1).max() / 16 * np.eye(len(nodes))
     v = np.ones(len(nodes))
     for _ in range(max_iter):
         nv = s @ v
@@ -499,6 +497,36 @@ def test_classical_measures_match_the_dense_matrix_oracle():
             assert abs(wdiff[v] - o_wdiff[v]) <= 1e-12 * wdeg[v], v
         _close(eigenvector(net), _numpy_eigenvector(net))
         _close(pagerank(net), _numpy_pagerank(net))
+
+
+def _two_tier(scale):
+    """6 lenders, each lending to 14 of 40 borrowers that do not lend, with
+    weights in [1, 100] times `scale`."""
+    rng = random.Random(0)
+    return ingest_edges([
+        (f"L{a}", f"b{b}", rng.randint(1, 100) * scale)
+        for a in range(6)
+        for b in sorted(rng.sample(range(40), 14))
+    ])
+
+
+def test_eigenvector_of_bipartite_nets_with_large_loans_scores_as_at_scale_one():
+    # symmetrized, a star or a two-tier net is bipartite: its spectrum is
+    # symmetric about 0, and only a shift that grows with the loans keeps
+    # the leading eigenvalue apart at every scale
+    def star(w):
+        return ingest_edges([("L", "a", w), ("L", "b", 2 * w)])
+
+    for w in (1e3, 1e4, 1e6, 4.5e15):
+        assert eigenvector(star(w)) == pytest.approx(eigenvector(star(1)), abs=1e-9), w
+    assert eigenvector(_two_tier(1e6)) == pytest.approx(eigenvector(_two_tier(1)), abs=1e-9)
+
+
+def test_eigenvector_does_not_change_under_powers_of_two():
+    for net in _oracle_nets(200):
+        scores = eigenvector(net)
+        for k in (-20, 10, 500):
+            assert eigenvector(_times(net, k)) == scores, k
 
 
 def test_eigenvector_and_pagerank_do_not_depend_on_node_labels():

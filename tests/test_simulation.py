@@ -705,6 +705,52 @@ def test_cascade_stages_match_exact_sums_near_the_floor(count, sizes):
             assert stages == ([frozenset({0})] if defaults else []), (row, sorted(seeds))
 
 
+def _fraction_stages(rows, seeds):
+    """The cascade stages of `seeds` over share rows `rows`, each lender's
+    loss summed anew as Fractions at every stage."""
+    floor = Fraction(1 - TOL)
+    held = [[(k, Fraction(x)) for k, x in enumerate(row) if x] for row in rows]
+    defaulted, stages = set(seeds), []
+    while True:
+        fresh = frozenset(
+            i for i, shares in enumerate(held)
+            if i not in defaulted and sum(x for k, x in shares if k in defaulted) >= floor
+        )
+        if not fresh:
+            return stages
+        stages.append(fresh)
+        defaulted |= fresh
+
+
+@pytest.mark.parametrize("count, sizes", [(2_500, range(2, 8)), (30, range(13, 15))])
+def test_cascade_losses_stay_exact_across_stages_near_the_floor(count, sizes):
+    # lender 0 holds the share row; its borrowers 1..m default in 2-4
+    # different stages, each borrower lending all of its threshold to one
+    # node of the feeder chain m+1 <- m+2 <- m+3 <- m+4; the seeds are the
+    # chain's head m+1 and the borrowers of stage 0.  Every other row, one
+    # borrower never defaults.
+    rng = random.Random(20261022)
+    for n, row in enumerate(_near_floor_rows(count, sizes)):
+        m = len(row)
+        rows = [[0.0] * (m + 5) for _ in range(m + 5)]
+        rows[0][1 : m + 1] = row
+        for t in range(1, 4):
+            rows[m + 1 + t][m + t] = 1.0
+        present = rng.sample(range(1, m + 1), m)[n % 2 :]
+        spread = min(rng.randint(2, 4), len(present))
+        seeds = {m + 1}
+        for k, b in enumerate(present):
+            stage = k if k < spread else rng.randrange(spread)
+            if stage:
+                rows[b][m + stage] = 1.0
+            else:
+                seeds.add(b)
+        expected = _fraction_stages(rows, seeds)
+        for s in (None, 1, 2, 3):
+            stages = _CascadeEngine(rows, stage_limit=s).stages(_mask(seeds))
+            assert [*map(_set, stages)] == expected[:s], (row, rows, sorted(seeds), s)
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -0.5, -5e-324])
 def test_cascade_rejects_non_finite_shares(entry):
     # a negative share, however small, is refused too: every share that
